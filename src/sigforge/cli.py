@@ -34,12 +34,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         print(f"error: --count must be divisible by {NUM_CLASSES} "
               f"(exact class balance), got {args.count}", file=sys.stderr)
         return 2
-    config = ds.DatasetConfig(
-        variant=args.variant,
-        examples_per_class=args.count // NUM_CLASSES,
-        dataset_seed=args.seed,
-        frame_len=args.frame_len,
-    )
+    try:
+        config = ds.DatasetConfig(
+            variant=args.variant,
+            examples_per_class=args.count // NUM_CLASSES,
+            dataset_seed=args.seed,
+            frame_len=args.frame_len,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     workers = args.workers if args.workers is not None else _default_workers()
     try:
         manifest = ds.write_shards(config, args.out, workers=workers, force=args.force)
@@ -164,8 +168,12 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    defaults = ServerDefaults(variant=args.variant, seed=args.seed,
-                              frame_len=args.frame_len, batch_size=args.batch_size)
+    try:
+        defaults = ServerDefaults(variant=args.variant, seed=args.seed,
+                                  frame_len=args.frame_len, batch_size=args.batch_size)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"serving on {args.host}:{args.port}", flush=True)
     try:
         serve(args.host, args.port, defaults)
@@ -187,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", required=True, type=int)
     gen.add_argument("--workers", type=int, default=None,
                      help="parallel generators (default: $SIGFORGE_WORKERS or 1)")
-    gen.add_argument("--frame-len", type=int, default=FRAME_LEN)
+    gen.add_argument("--frame-len", type=int, default=FRAME_LEN,
+                     help=f"samples per frame (>= {ds.MIN_FRAME_LEN}, default {FRAME_LEN})")
     gen.add_argument("--force", action="store_true",
                      help="write into a non-empty directory")
     gen.set_defaults(func=_cmd_generate)
@@ -213,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--port", required=True, type=int)
     srv.add_argument("--variant", default="impaired-train", choices=ds.VARIANTS)
     srv.add_argument("--seed", type=int, default=0)
-    srv.add_argument("--frame-len", type=int, default=FRAME_LEN)
+    srv.add_argument("--frame-len", type=int, default=FRAME_LEN,
+                     help=f"samples per frame (>= {ds.MIN_FRAME_LEN}, default {FRAME_LEN})")
     srv.add_argument("--batch-size", type=int, default=32,
                      help="default batch size when a request omits it")
     srv.set_defaults(func=_cmd_serve)

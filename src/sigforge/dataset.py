@@ -17,7 +17,9 @@ stored as float32; the determinism contract covers the stored values.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -42,6 +44,14 @@ from sigforge.rng import RngStream, derive_stream
 
 FORMAT_VERSION = 1
 DEFAULT_SHARD_SIZE = 4096
+# Shortest supported frame. Time shifts reach 32 samples, and shorter
+# frames make some classes fail to generate; at 64, every class of both
+# variants generated over 40 seeds.
+MIN_FRAME_LEN = 64
+# Examples per generate_range call in write_shards: small enough to keep
+# pool workers evenly loaded and to stream a shard to disk rather than
+# hold it in memory, large enough to amortize a pool task's round trip.
+_TASK_SIZE = 8
 
 VARIANTS = ("clean-train", "clean-val", "impaired-train", "impaired-val")
 
@@ -58,6 +68,17 @@ class DigestMismatchError(ValueError):
     """A shard's bytes do not match the manifest digest."""
 
 
+def check_int(name: str, value: object, low: int | None = None,
+              high: int | None = None) -> None:
+    """Raise TypeError unless value is an int (bool, float and str are
+    refused, not coerced), ValueError unless low <= value <= high."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    if (low is not None and value < low) or (high is not None and value > high):
+        bounds = f"[{low}, {high}]" if high is not None else f">= {low}"
+        raise ValueError(f"{name} must be {bounds}, got {value}")
+
+
 @dataclass(frozen=True)
 class DatasetConfig:
     variant: str
@@ -69,10 +90,9 @@ class DatasetConfig:
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.examples_per_class < 1:
-            raise ValueError("examples_per_class must be >= 1")
-        if self.frame_len < 1:
-            raise ValueError("frame_len must be >= 1")
+        check_int("examples_per_class", self.examples_per_class, 1)
+        check_int("dataset_seed", self.dataset_seed)
+        check_int("frame_len", self.frame_len, MIN_FRAME_LEN)
 
     @property
     def is_impaired(self) -> bool:
@@ -83,16 +103,9 @@ class DatasetConfig:
         return self.examples_per_class * NUM_CLASSES
 
 
-def plan(config: DatasetConfig) -> Iterator[tuple[int, int, RngStream]]:
-    """Round-robin class assignment: example i is class i mod 53, with an
-    independent counter-mode stream per example."""
-    for index in range(config.total_examples):
-        yield index, index % NUM_CLASSES, derive_stream(config.dataset_seed, index)
-
-
 def generate_example(index: int, class_index: int, rng: RngStream,
                      config: DatasetConfig) -> tuple[np.ndarray, dict]:
-    """Produce one frame and its metadata. Pure function of the plan item:
+    """Produce one frame and its metadata. Pure function of its arguments:
     clean variants synthesize the fixed-shaping waveform only; impaired
     variants draw randomized pulse shaping, then the impairment chain."""
     if config.is_impaired:
@@ -159,31 +172,25 @@ def meta_to_line(meta: dict) -> bytes:
     return (json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
 
-_POOL_CONFIG: DatasetConfig | None = None
+def generate_range(config: DatasetConfig, start: int, count: int) -> tuple[bytes, bytes]:
+    """Examples start .. start+count-1 serialized as (IQ bytes, JSONL meta
+    bytes). Example i is class i mod 53 drawn from its own stream
+    derive_stream(dataset_seed, i), so adjacent ranges concatenate to the
+    bytes of their union. The range may run past config.total_examples."""
+    iq_parts = []
+    meta_parts = []
+    for index in range(start, start + count):
+        frame, meta = generate_example(
+            index, index % NUM_CLASSES, derive_stream(config.dataset_seed, index), config)
+        iq_parts.append(frame_to_bytes(frame))
+        meta_parts.append(meta_to_line(meta))
+    return b"".join(iq_parts), b"".join(meta_parts)
 
 
-def _pool_init(config: DatasetConfig) -> None:
-    global _POOL_CONFIG
-    _POOL_CONFIG = config
-
-
-def _pool_generate(index: int) -> tuple[bytes, bytes]:
-    config = _POOL_CONFIG
-    frame, meta = generate_example(
-        index, index % NUM_CLASSES, derive_stream(config.dataset_seed, index), config)
-    return frame_to_bytes(frame), meta_to_line(meta)
-
-
-def _payload_iter(config: DatasetConfig, workers: int) -> Iterator[tuple[bytes, bytes]]:
-    if workers <= 1:
-        for index, class_index, rng in plan(config):
-            frame, meta = generate_example(index, class_index, rng, config)
-            yield frame_to_bytes(frame), meta_to_line(meta)
-        return
-    with multiprocessing.Pool(workers, initializer=_pool_init, initargs=(config,)) as pool:
-        # imap preserves index order, which keeps the output bytes
-        # independent of scheduling.
-        yield from pool.imap(_pool_generate, range(config.total_examples), chunksize=8)
+def _generate_task(config: DatasetConfig, task: tuple[int, int]) -> tuple[bytes, bytes]:
+    """generate_range for one (start, count) pair, the one argument that
+    pool.imap passes."""
+    return generate_range(config, *task)
 
 
 def _shard_name(shard_index: int) -> str:
@@ -204,38 +211,32 @@ def write_shards(config: DatasetConfig, out_dir: str | Path, workers: int = 1,
 
     overall = hashlib.sha256()
     shard_entries = []
-    shard_index = 0
-    start_index = 0
-    iq_chunks: list[bytes] = []
-    meta_chunks: list[bytes] = []
-
-    def flush() -> None:
-        nonlocal shard_index, start_index, iq_chunks, meta_chunks
-        if not iq_chunks:
-            return
-        name = _shard_name(shard_index)
-        iq_bytes = b"".join(iq_chunks)
-        meta_bytes = b"".join(meta_chunks)
-        (out_path / f"{name}.iq").write_bytes(iq_bytes)
-        (out_path / f"{name}.meta.jsonl").write_bytes(meta_bytes)
-        overall.update(iq_bytes)
-        shard_entries.append({
-            "name": name,
-            "start_index": start_index,
-            "count": len(iq_chunks),
-            "iq_sha256": hashlib.sha256(iq_bytes).hexdigest(),
-            "meta_sha256": hashlib.sha256(meta_bytes).hexdigest(),
-        })
-        start_index += len(iq_chunks)
-        shard_index += 1
-        iq_chunks, meta_chunks = [], []
-
-    for iq, meta_line in _payload_iter(config, workers):
-        iq_chunks.append(iq)
-        meta_chunks.append(meta_line)
-        if len(iq_chunks) == shard_size:
-            flush()
-    flush()
+    generate = functools.partial(_generate_task, config)
+    with multiprocessing.Pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        for shard_index, start in enumerate(range(0, config.total_examples, shard_size)):
+            count = min(shard_size, config.total_examples - start)
+            # tasks stay inside the shard, and map and imap both yield in
+            # task order, so the bytes do not depend on scheduling
+            tasks = [(first, min(_TASK_SIZE, start + count - first))
+                     for first in range(start, start + count, _TASK_SIZE)]
+            parts = map(generate, tasks) if pool is None else pool.imap(generate, tasks)
+            name = _shard_name(shard_index)
+            iq_sha256, meta_sha256 = hashlib.sha256(), hashlib.sha256()
+            with open(out_path / f"{name}.iq", "wb") as iq_file, \
+                    open(out_path / f"{name}.meta.jsonl", "wb") as meta_file:
+                for iq_bytes, meta_bytes in parts:
+                    iq_file.write(iq_bytes)
+                    meta_file.write(meta_bytes)
+                    iq_sha256.update(iq_bytes)
+                    meta_sha256.update(meta_bytes)
+                    overall.update(iq_bytes)
+            shard_entries.append({
+                "name": name,
+                "start_index": start,
+                "count": count,
+                "iq_sha256": iq_sha256.hexdigest(),
+                "meta_sha256": meta_sha256.hexdigest(),
+            })
 
     # json round trip normalizes tuples to lists so the returned manifest
     # compares equal to the reloaded one

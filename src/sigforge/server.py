@@ -9,17 +9,20 @@ Framing (all integers little-endian):
 
 Request payload is a JSON object; unset fields fall back to the server's
 defaults: {"batch_size": int (1..4096), "variant": str, "seed": int,
-"start_index": int, "frame_len": int}.
+"start_index": int (>= 0), "frame_len": int (>= dataset.MIN_FRAME_LEN)}.
+Integer fields take JSON integers only: booleans, floats and strings are
+rejected, not coerced. Requests are capped at 1 MiB; responses are not.
 
 Response payload is a JSON header line — {"count", "frame_len",
 "dtype": "f32le-interleaved", "meta_bytes"} — terminated by "\n", then
 count*frame_len*8 bytes of interleaved float32 IQ, then meta_bytes bytes
 of JSONL metadata.
 
-Example k of a batch is generate_example(start_index+k, (start_index+k)
-mod 53, derive_stream(seed, start_index+k)): the response is a pure
-function of the request, so identical requests get identical bytes no
-matter which client sends them or when. A malformed header draws an
+A batch is dataset.generate_range(config, start_index, batch_size) for
+the DatasetConfig the request describes, so example k of a batch is
+dataset example start_index+k of that variant and seed. The response is
+a pure function of the request: identical requests get identical bytes
+no matter which client sends them or when. A malformed header draws an
 error frame and a close; a well-framed but invalid request draws an
 error frame and the connection stays usable.
 """
@@ -31,16 +34,8 @@ import socket
 import socketserver
 import struct
 
-from sigforge.dataset import (
-    DatasetConfig,
-    VARIANTS,
-    frame_to_bytes,
-    generate_example,
-    meta_to_line,
-)
+from sigforge.dataset import DatasetConfig, check_int, generate_range
 from sigforge.frame import FRAME_LEN
-from sigforge.registry import NUM_CLASSES
-from sigforge.rng import derive_stream
 
 MAGIC = b"SG53"
 PROTOCOL_VERSION = 1
@@ -77,59 +72,53 @@ def recv_exact(sock: socket.socket, count: int) -> bytes:
     return b"".join(chunks)
 
 
-def read_frame(sock: socket.socket) -> tuple[int, bytes]:
-    """Read one (type, payload) frame; raises ProtocolError on bad framing."""
-    header = recv_exact(sock, HEADER.size)
-    magic, version, message_type, length = HEADER.unpack(header)
+def _read_header(sock: socket.socket) -> tuple[int, int]:
+    """Read and check one frame header; returns (type, payload length)."""
+    magic, version, message_type, length = HEADER.unpack(recv_exact(sock, HEADER.size))
     if magic != MAGIC:
         raise ProtocolError(f"bad magic {magic!r}")
     if version != PROTOCOL_VERSION:
         raise ProtocolError(f"unsupported version {version}")
-    if length > _MAX_REQUEST_BYTES:
-        raise ProtocolError(f"payload of {length} bytes exceeds limit")
+    return message_type, length
+
+
+def read_frame(sock: socket.socket) -> tuple[int, bytes]:
+    """Read one (type, payload) frame; raises ProtocolError on bad framing."""
+    message_type, length = _read_header(sock)
     return message_type, recv_exact(sock, length)
 
 
 def build_batch(request: dict, defaults: "ServerDefaults") -> bytes:
-    """Generate the response payload for a validated request dict."""
-    batch_size = int(request.get("batch_size", defaults.batch_size))
-    variant = request.get("variant", defaults.variant)
-    seed = int(request.get("seed", defaults.seed))
-    start_index = int(request.get("start_index", 0))
-    frame_len = int(request.get("frame_len", defaults.frame_len))
-    if not 1 <= batch_size <= MAX_BATCH:
-        raise RequestError(f"batch_size must be in [1, {MAX_BATCH}], got {batch_size}")
-    if variant not in VARIANTS:
-        raise RequestError(f"unknown variant {variant!r}")
-    if start_index < 0:
-        raise RequestError("start_index must be >= 0")
-    if frame_len < 64:
-        raise RequestError("frame_len must be >= 64")
-    config = DatasetConfig(variant=variant, examples_per_class=1,
-                           dataset_seed=seed, frame_len=frame_len)
-    iq_parts = []
-    meta_parts = []
-    for k in range(batch_size):
-        index = start_index + k
-        frame, meta = generate_example(
-            index, index % NUM_CLASSES, derive_stream(seed, index), config)
-        iq_parts.append(frame_to_bytes(frame))
-        meta_parts.append(meta_to_line(meta))
-    meta_blob = b"".join(meta_parts)
+    """Generate the response payload for a request dict; raises
+    RequestError if a field has the wrong type or is out of range."""
+    batch_size = request.get("batch_size", defaults.batch_size)
+    start_index = request.get("start_index", 0)
+    try:
+        check_int("batch_size", batch_size, 1, MAX_BATCH)
+        check_int("start_index", start_index, 0)
+        config = DatasetConfig(variant=request.get("variant", defaults.variant),
+                               examples_per_class=1,
+                               dataset_seed=request.get("seed", defaults.seed),
+                               frame_len=request.get("frame_len", defaults.frame_len))
+    except (TypeError, ValueError) as exc:
+        raise RequestError(str(exc)) from exc
+    iq_blob, meta_blob = generate_range(config, start_index, batch_size)
     header = json.dumps({
         "count": batch_size,
-        "frame_len": frame_len,
+        "frame_len": config.frame_len,
         "dtype": "f32le-interleaved",
         "meta_bytes": len(meta_blob),
     }, sort_keys=True, separators=(",", ":")) + "\n"
-    return header.encode("utf-8") + b"".join(iq_parts) + meta_blob
+    return header.encode("utf-8") + iq_blob + meta_blob
 
 
 class ServerDefaults:
     def __init__(self, variant: str = "impaired-train", seed: int = 0,
                  frame_len: int = FRAME_LEN, batch_size: int = 32):
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
+        # fail at start-up, not on every request that leaves a field unset
+        DatasetConfig(variant=variant, examples_per_class=1, dataset_seed=seed,
+                      frame_len=frame_len)
+        check_int("batch_size", batch_size, 1, MAX_BATCH)
         self.variant = variant
         self.seed = seed
         self.frame_len = frame_len
@@ -142,7 +131,10 @@ class _Handler(socketserver.BaseRequestHandler):
         defaults = self.server.defaults
         while True:
             try:
-                message_type, payload = read_frame(sock)
+                message_type, length = _read_header(sock)
+                if length > _MAX_REQUEST_BYTES:
+                    raise ProtocolError(f"payload of {length} bytes exceeds limit")
+                payload = recv_exact(sock, length)
             except ConnectionError:
                 return
             except ProtocolError as exc:

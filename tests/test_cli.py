@@ -48,6 +48,15 @@ def test_generate_unbalanced_count_exits_2(tmp_path, capsys):
     assert "divisible" in capsys.readouterr().err
 
 
+def test_generate_rejects_short_frame_len_before_writing(tmp_path, capsys):
+    out = tmp_path / "ds"
+    code = run(["generate", "--variant", "impaired-train", "--count", "53",
+                "--seed", "1", "--out", str(out), "--frame-len", "7"])
+    assert code == 2
+    assert "frame_len must be >= 64" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_refuses_overwrite_without_force(tmp_path, capsys):
     out = tmp_path / "ds"
     args = ["generate", "--variant", "clean-val", "--count", "53",
@@ -171,3 +180,10 @@ def test_parser_covers_all_subcommands():
                            "--seed", "0", "--out", "x"])
     with pytest.raises(SystemExit):
         parser.parse_args([])
+
+
+def test_serve_rejects_bad_defaults_before_listening(capsys):
+    assert run(["serve", "--port", "0", "--frame-len", "32"]) == 2
+    captured = capsys.readouterr()
+    assert "frame_len" in captured.err
+    assert "serving on" not in captured.out

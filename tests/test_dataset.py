@@ -8,6 +8,7 @@ import pytest
 from sigforge.dataset import (
     DEFAULT_SHARD_SIZE,
     FORMAT_VERSION,
+    MIN_FRAME_LEN,
     REFERENCE_TOTALS,
     VARIANTS,
     DatasetConfig,
@@ -15,9 +16,9 @@ from sigforge.dataset import (
     bytes_to_frames,
     frame_to_bytes,
     generate_example,
+    generate_range,
     load_manifest,
     meta_to_line,
-    plan,
     read,
     read_example,
     replay_example,
@@ -40,6 +41,18 @@ def test_config_validation():
         small_config(epc=0)
     with pytest.raises(ValueError):
         small_config(frame_len=0)
+    with pytest.raises(ValueError):
+        small_config(frame_len=MIN_FRAME_LEN - 1)
+    assert small_config(frame_len=MIN_FRAME_LEN).frame_len == MIN_FRAME_LEN
+    # integer fields take ints only: no truncation, no bool, no parsing
+    for bad in (256.0, 1.5, True, "256", None):
+        with pytest.raises(TypeError):
+            small_config(frame_len=bad)
+    with pytest.raises(TypeError):
+        small_config(epc=2.0)
+    with pytest.raises(TypeError):
+        small_config(seed="3")
+    assert small_config(seed=-(2 ** 70)).dataset_seed == -(2 ** 70)
     assert small_config("impaired-val").is_impaired
     assert not small_config("clean-val").is_impaired
     assert small_config(epc=4).total_examples == 4 * 53
@@ -59,13 +72,22 @@ def test_reference_totals_documented():
 
 
 def test_plan_round_robin():
-    items = list(plan(small_config(epc=2)))
-    assert len(items) == 106
-    assert [c for _, c, _ in items][:53] == list(range(53))
-    assert [c for _, c, _ in items][53:] == list(range(53))
+    config = small_config(epc=2, frame_len=MIN_FRAME_LEN)
+    iq, meta = generate_range(config, 0, config.total_examples)
+    lines = [json.loads(line) for line in meta.splitlines()]
+    assert len(lines) == 106
+    assert len(iq) == 106 * MIN_FRAME_LEN * 8
+    assert [m["index"] for m in lines] == list(range(106))
+    assert [m["class_index"] for m in lines] == [i % 53 for i in range(106)]
     # streams differ per index but depend only on (seed, index)
-    assert items[0][2].key != items[1][2].key
-    assert items[5][2].key == derive_stream(3, 5).key
+    assert lines[0]["rng_key"] != lines[1]["rng_key"]
+    assert [m["rng_key"] for m in lines] == [derive_stream(3, i).key for i in range(106)]
+    # adjacent ranges concatenate to the bytes of their union
+    iq_a, meta_a = generate_range(config, 50, 3)
+    iq_b, meta_b = generate_range(config, 53, 4)
+    frame_bytes = MIN_FRAME_LEN * 8
+    assert iq_a + iq_b == iq[50 * frame_bytes:57 * frame_bytes]
+    assert meta_a + meta_b == b"".join(meta.splitlines(keepends=True)[50:57])
 
 
 def test_serialization_round_trip():
@@ -183,17 +205,18 @@ def test_write_refuses_nonempty_dir_without_force(tmp_path):
 
 
 def test_worker_count_does_not_change_bytes(tmp_path):
+    # a shard size that is not a multiple of the pool task size makes
+    # tasks end at shard boundaries
     config = small_config("impaired-train", epc=1, frame_len=128)
-    m1 = write_shards(config, tmp_path / "w1", workers=1)
-    m4 = write_shards(config, tmp_path / "w4", workers=4)
+    m1 = write_shards(config, tmp_path / "w1", workers=1, shard_size=20)
+    m4 = write_shards(config, tmp_path / "w4", workers=4, shard_size=20)
     assert m1["digest_sha256"] == m4["digest_sha256"]
     assert m1["shards"] == m4["shards"]
-    a = (tmp_path / "w1" / "shard-00000.iq").read_bytes()
-    b = (tmp_path / "w4" / "shard-00000.iq").read_bytes()
-    assert a == b
-    a = (tmp_path / "w1" / "shard-00000.meta.jsonl").read_bytes()
-    b = (tmp_path / "w4" / "shard-00000.meta.jsonl").read_bytes()
-    assert a == b
+    assert [e["count"] for e in m4["shards"]] == [20, 20, 13]
+    names = sorted(p.name for p in (tmp_path / "w1").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "w4").iterdir())
+    for name in names:
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w4" / name).read_bytes()
 
 
 def test_digest_catches_corruption(tmp_path):

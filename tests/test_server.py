@@ -7,8 +7,12 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigforge.dataset import (
+    MIN_FRAME_LEN,
+    VARIANTS,
     DatasetConfig,
     bytes_to_frames,
     frame_to_bytes,
@@ -181,12 +185,92 @@ def test_build_batch_validation():
     with pytest.raises(RequestError):
         build_batch({"frame_len": 8}, defaults)
     with pytest.raises(RequestError):
+        build_batch({"frame_len": MIN_FRAME_LEN - 1}, defaults)
+    with pytest.raises(RequestError):
         build_batch({"start_index": -3}, defaults)
+    # wrong types are request errors, not coerced and not crashes
+    for field, value in [("seed", [1]), ("batch_size", "abc"), ("frame_len", 1.5),
+                         ("frame_len", 256.0), ("batch_size", True),
+                         ("start_index", "0"), ("variant", ["clean-train"])]:
+        with pytest.raises(RequestError):
+            build_batch({"frame_len": MIN_FRAME_LEN, field: value}, defaults)
 
 
 def test_server_defaults_validation():
     with pytest.raises(ValueError):
         ServerDefaults(variant="raw")
+    with pytest.raises(ValueError):
+        ServerDefaults(frame_len=MIN_FRAME_LEN - 1)
+    with pytest.raises(ValueError):
+        ServerDefaults(batch_size=0)
+    defaults = ServerDefaults()
+    assert (defaults.variant, defaults.seed, defaults.frame_len, defaults.batch_size) == (
+        "impaired-train", 0, 4096, 32)
+
+
+_json_scalars = (st.none() | st.booleans() | st.floats() | st.text(max_size=8)
+                 | st.integers(-(2 ** 70), 2 ** 70))
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6)
+
+
+def _field(valid_ints):
+    # any JSON type, plus integers on both sides of each bound; valid
+    # sizes stay small so that a passing request generates little
+    return _json_values | valid_ints
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.fixed_dictionaries({}, optional={
+    "batch_size": _field(st.integers(max_value=3) | st.integers(min_value=MAX_BATCH + 1)),
+    "variant": _json_values | st.sampled_from(VARIANTS),
+    "seed": _json_values,
+    "start_index": _field(st.integers(-3, 3)),
+    "frame_len": _field(st.integers(max_value=MIN_FRAME_LEN + 8)),
+}))
+def test_build_batch_returns_or_raises_request_error(fields):
+    fields.setdefault("batch_size", 1)
+    fields.setdefault("frame_len", MIN_FRAME_LEN)
+    try:
+        payload = build_batch(fields, ServerDefaults())
+    except RequestError:
+        return
+    header = json.loads(payload[:payload.index(b"\n")])
+    assert header["count"] == fields["batch_size"]
+    assert header["frame_len"] == fields["frame_len"]
+
+
+@pytest.mark.parametrize("bad", [
+    {"seed": [1]},
+    {"batch_size": "abc"},
+    {"frame_len": 100.5},
+    {"start_index": None},
+    {"variant": {"name": "clean-train"}},
+])
+def test_bad_field_type_keeps_connection_alive(server, bad):
+    with socket.create_connection(("127.0.0.1", server.port)) as sock:
+        sock.sendall(pack_frame(MSG_REQUEST, json.dumps(bad).encode()))
+        message_type, payload = read_frame(sock)
+        assert message_type == MSG_ERROR
+        assert next(iter(bad)) in json.loads(payload)["error"]
+        sock.sendall(pack_frame(MSG_REQUEST,
+                                json.dumps({"batch_size": 1, "frame_len": 64}).encode()))
+        message_type, _ = read_frame(sock)
+        assert message_type == MSG_RESPONSE
+
+
+def test_request_batch_reads_default_sized_batch(server):
+    # 32 frames of 4096 samples exceed the 1 MiB request cap; responses
+    # must not be held to it
+    header, iq, meta = request_batch("127.0.0.1", server.port, seed=3)
+    assert header["count"] == 32 and header["frame_len"] == 4096
+    assert len(iq) + len(meta) > 1 << 20
+    payload = build_batch({"seed": 3}, ServerDefaults())
+    newline = payload.index(b"\n")
+    assert payload[newline + 1:] == iq + meta
 
 
 def test_request_batch_raises_on_error(server):
