@@ -12,10 +12,8 @@ import numpy as np
 from sigforge import dataset as ds
 from sigforge import measurement
 from sigforge.frame import FRAME_LEN
-from sigforge.impairments import ImpairmentRecord, pre_noise_frame, synthesize_impaired_source
 from sigforge.linear import matched_filter_symbols
 from sigforge.registry import NUM_CLASSES, class_by_index
-from sigforge.rng import RngStream
 from sigforge.server import ServerDefaults, serve
 
 
@@ -83,88 +81,16 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sample_indices(total: int, want: int) -> list[int]:
-    if total <= want:
-        return list(range(total))
-    return sorted(set(np.linspace(0, total - 1, want).astype(int).tolist()))
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
-    failures = 0
-
-    def report(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        if not ok:
-            failures += 1
-        suffix = f"  ({detail})" if detail else ""
-        print(f"{name}: {'PASS' if ok else 'FAIL'}{suffix}")
-
     try:
-        manifest = ds.load_manifest(args.in_dir)
+        results = ds.validate(args.in_dir, args.sample)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    try:
-        ds.verify_digests(args.in_dir, manifest)
-        report("digest", True)
-    except (ds.DigestMismatchError, FileNotFoundError) as exc:
-        report("digest", False, str(exc))
-        return 1  # everything downstream reads those bytes
-
-    frame_len = manifest["config"]["frame_len"]
-    total = manifest["num_examples"]
-    counts = dict.fromkeys(range(NUM_CLASSES), 0)
-    balanced = True
-    position = 0
-    for _frame, meta in ds.read(args.in_dir):
-        counts[meta["class_index"]] += 1
-        if meta["index"] != position or meta["class_index"] != position % NUM_CLASSES:
-            balanced = False
-        position += 1
-    expected = manifest["config"]["examples_per_class"]
-    balanced = balanced and position == total and all(
-        counts[c] == expected for c in range(NUM_CLASSES))
-    report("class-balance", balanced,
-           f"{position} examples, {expected} per class expected")
-
-    replay_ok, snr_ok, envelope_ok = True, True, True
-    snr_checked = envelope_checked = 0
-    worst_snr = 0.0
-    for index in _sample_indices(total, args.sample):
-        frame32, meta = ds.read_example(args.in_dir, index, manifest)
-        replayed = ds.replay_example(meta, frame_len)
-        if ds.frame_to_bytes(replayed) != frame32.astype(np.complex64).tobytes():
-            replay_ok = False
-        if "record" in meta:
-            record = ImpairmentRecord.from_dict(meta["record"])
-            awgn = next((s for s in record.steps if s.kind == "awgn"), None)
-            if awgn is not None:
-                rng = RngStream(int(meta["rng_key"]))
-                source, _d, _s = synthesize_impaired_source(
-                    meta["class_index"], rng, frame_len)
-                signal = pre_noise_frame(source, record)
-                noise = replayed - signal
-                measured = measurement.measure_esn0(
-                    signal, noise, awgn.params["samples_per_symbol"])
-                error = abs(measured - record.target_esn0_db)
-                worst_snr = max(worst_snr, error)
-                snr_checked += 1
-                if error > 0.2:
-                    snr_ok = False
-        elif meta["family"] == "fsk":
-            # stored values are float32, so allow the rounding budget
-            envelope_checked += 1
-            if measurement.envelope_constancy(frame32.astype(np.complex128)) > 1e-6:
-                envelope_ok = False
-    report("replay", replay_ok, f"{len(_sample_indices(total, args.sample))} sampled")
-    if snr_checked:
-        report("snr-calibration", snr_ok,
-               f"{snr_checked} sampled, worst |error| {worst_snr:.3f} dB")
-    if envelope_checked:
-        report("fsk-envelope", envelope_ok, f"{envelope_checked} sampled")
-
-    return 1 if failures else 0
+    for result in results:
+        suffix = f"  ({result.detail})" if result.detail else ""
+        print(f"{result.name}: {'PASS' if result.ok else 'FAIL'}{suffix}")
+    return 0 if all(result.ok for result in results) else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

@@ -29,6 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
+from sigforge import measurement
 from sigforge.clean import gen_clean
 from sigforge.frame import FRAME_LEN
 from sigforge.impairments import (
@@ -36,6 +37,7 @@ from sigforge.impairments import (
     ImpairmentProfile,
     ImpairmentRecord,
     apply_impairment_chain,
+    pre_noise_frame,
     replay_impairments,
     synthesize_impaired_source,
 )
@@ -132,16 +134,23 @@ def generate_example(index: int, class_index: int, rng: RngStream,
     return frame, meta
 
 
-def replay_example(meta: dict, frame_len: int = FRAME_LEN) -> np.ndarray:
-    """Regenerate a stored example (float64) from its metadata alone."""
+def _replay(meta: dict, frame_len: int
+            ) -> tuple[np.ndarray, np.ndarray | None, ImpairmentRecord | None]:
+    """(replayed frame, impaired source, record) of a stored example; clean ones get None twice."""
     rng = RngStream(int(meta["rng_key"]))
     class_index = int(meta["class_index"])
     if "record" in meta:
         source, _descriptor, _shaping = synthesize_impaired_source(
             class_index, rng, frame_len)
-        return replay_impairments(source, ImpairmentRecord.from_dict(meta["record"]))
+        record = ImpairmentRecord.from_dict(meta["record"])
+        return replay_impairments(source, record), source, record
     frame, _descriptor = gen_clean(class_index, rng, frame_len)
-    return frame
+    return frame, None, None
+
+
+def replay_example(meta: dict, frame_len: int = FRAME_LEN) -> np.ndarray:
+    """Regenerate a stored example (float64) from its metadata alone."""
+    return _replay(meta, frame_len)[0]
 
 
 def frame_to_bytes(frame: np.ndarray) -> bytes:
@@ -201,13 +210,18 @@ def write_shards(config: DatasetConfig, out_dir: str | Path, workers: int = 1,
                  force: bool = False, shard_size: int = DEFAULT_SHARD_SIZE) -> dict:
     """Generate the configured dataset into out_dir and return the manifest
     (also written as manifest.json). Refuses a non-empty directory unless
-    force is set."""
+    force is set; force first deletes the shard-*.iq, shard-*.meta.jsonl
+    and manifest.json files of an earlier run and leaves other files alone."""
     if shard_size < 1:
         raise ValueError("shard_size must be >= 1")
     out_path = Path(out_dir)
     if out_path.exists() and any(out_path.iterdir()) and not force:
         raise FileExistsError(f"{out_path} is not empty (pass force to overwrite)")
     out_path.mkdir(parents=True, exist_ok=True)
+    # a forced rewrite may write fewer shards than the run before it
+    for stale in [*out_path.glob("shard-*.iq"), *out_path.glob("shard-*.meta.jsonl"),
+                  out_path / "manifest.json"]:
+        stale.unlink(missing_ok=True)
 
     overall = hashlib.sha256()
     shard_entries = []
@@ -327,3 +341,67 @@ def read(dataset_dir: str | Path, validate_digest: bool = False
             raise ValueError(f"{entry['name']}: {len(frames)} frames but "
                              f"{len(metas)} meta lines")
         yield from zip(frames, metas)
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    """One named check of validate and its outcome."""
+    name: str
+    ok: bool
+    detail: str = ""
+
+
+def _sample_indices(total: int, want: int) -> list[int]:
+    """Up to want indices spread evenly over 0 .. total-1."""
+    if total <= want:
+        return list(range(total))
+    return sorted(set(np.linspace(0, total - 1, want).astype(int).tolist()))
+
+
+def validate(dataset_dir: str | Path, sample: int = 20) -> list[CheckResult]:
+    """Check a dataset in one read pass: digest (the only result if it
+    fails, as every later check reads those bytes), class-balance, replay
+    of `sample` evenly spread examples, their Es/N0 within 0.2 dB of target
+    (impaired) and envelope within 1e-6, the float32 rounding budget, of
+    constant (clean FSK). Raises FileNotFoundError if there is no manifest."""
+    manifest = load_manifest(dataset_dir)
+    try:
+        verify_digests(dataset_dir, manifest)
+    except (DigestMismatchError, FileNotFoundError) as exc:
+        return [CheckResult("digest", False, str(exc))]
+
+    frame_len = manifest["config"]["frame_len"]
+    expected = manifest["config"]["examples_per_class"]
+    sampled = set(_sample_indices(manifest["num_examples"], sample))
+    in_order, replay_ok, position = True, True, 0
+    snr_errors, envelopes = [], []
+    for frame32, meta in read(dataset_dir):
+        if meta["index"] != position or meta["class_index"] != position % NUM_CLASSES:
+            in_order = False
+        if position in sampled:
+            frame, source, record = _replay(meta, frame_len)
+            replay_ok = replay_ok and frame_to_bytes(frame) == frame32.tobytes()
+            awgn = next((s for s in record.steps if s.kind == "awgn"), None) if record else None
+            if awgn is not None:
+                signal = pre_noise_frame(source, record)
+                measured = measurement.measure_esn0(
+                    signal, frame - signal, awgn.params["samples_per_symbol"])
+                snr_errors.append(abs(measured - record.target_esn0_db))
+            elif record is None and meta["family"] == "fsk":
+                envelopes.append(measurement.envelope_constancy(frame32.astype(np.complex128)))
+        position += 1
+
+    # with example i of class i mod 53 throughout, balance is a matter of count
+    balanced = in_order and position == manifest["num_examples"] == expected * NUM_CLASSES
+    results = [CheckResult("digest", True),
+               CheckResult("class-balance", balanced,
+                           f"{position} examples, {expected} per class expected"),
+               CheckResult("replay", replay_ok, f"{len(sampled)} sampled")]
+    if snr_errors:
+        results.append(CheckResult(
+            "snr-calibration", all(e <= 0.2 for e in snr_errors),
+            f"{len(snr_errors)} sampled, worst |error| {max(snr_errors):.3f} dB"))
+    if envelopes:
+        results.append(CheckResult("fsk-envelope", all(e <= 1e-6 for e in envelopes),
+                                   f"{len(envelopes)} sampled"))
+    return results

@@ -9,9 +9,11 @@ Framing (all integers little-endian):
 
 Request payload is a JSON object; unset fields fall back to the server's
 defaults: {"batch_size": int (1..4096), "variant": str, "seed": int,
-"start_index": int (>= 0), "frame_len": int (>= dataset.MIN_FRAME_LEN)}.
-Integer fields take JSON integers only: booleans, floats and strings are
-rejected, not coerced. Requests are capped at 1 MiB; responses are not.
+"start_index": int (>= 0), "frame_len": int (>= dataset.MIN_FRAME_LEN)},
+and a batch holds at most MAX_BATCH_SAMPLES = 4096 * 4096 samples
+(batch_size * frame_len). Integer fields take JSON integers only:
+booleans, floats and strings are rejected, not coerced. Requests are
+capped at 1 MiB; responses are not.
 
 Response payload is a JSON header line — {"count", "frame_len",
 "dtype": "f32le-interleaved", "meta_bytes"} — terminated by "\n", then
@@ -43,6 +45,9 @@ MSG_REQUEST = 1
 MSG_RESPONSE = 2
 MSG_ERROR = 255
 MAX_BATCH = 4096
+# the largest batch of default-length frames; a request may trade batch
+# size for frame length but not ask for more samples than this
+MAX_BATCH_SAMPLES = MAX_BATCH * FRAME_LEN
 _MAX_REQUEST_BYTES = 1 << 20
 
 HEADER = struct.Struct("<4sBBI")
@@ -88,6 +93,12 @@ def read_frame(sock: socket.socket) -> tuple[int, bytes]:
     return message_type, recv_exact(sock, length)
 
 
+def _check_batch_samples(batch_size: int, frame_len: int) -> None:
+    if batch_size * frame_len > MAX_BATCH_SAMPLES:
+        raise ValueError(f"batch_size * frame_len must be <= {MAX_BATCH_SAMPLES}, "
+                         f"got {batch_size} * {frame_len}")
+
+
 def build_batch(request: dict, defaults: "ServerDefaults") -> bytes:
     """Generate the response payload for a request dict; raises
     RequestError if a field has the wrong type or is out of range."""
@@ -100,6 +111,7 @@ def build_batch(request: dict, defaults: "ServerDefaults") -> bytes:
                                examples_per_class=1,
                                dataset_seed=request.get("seed", defaults.seed),
                                frame_len=request.get("frame_len", defaults.frame_len))
+        _check_batch_samples(batch_size, config.frame_len)
     except (TypeError, ValueError) as exc:
         raise RequestError(str(exc)) from exc
     iq_blob, meta_blob = generate_range(config, start_index, batch_size)
@@ -119,6 +131,7 @@ class ServerDefaults:
         DatasetConfig(variant=variant, examples_per_class=1, dataset_seed=seed,
                       frame_len=frame_len)
         check_int("batch_size", batch_size, 1, MAX_BATCH)
+        _check_batch_samples(batch_size, frame_len)
         self.variant = variant
         self.seed = seed
         self.frame_len = frame_len

@@ -1,6 +1,8 @@
 """Shard writing, manifests, digests, and replay-from-metadata."""
 
+import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from sigforge.dataset import (
     MIN_FRAME_LEN,
     REFERENCE_TOTALS,
     VARIANTS,
+    CheckResult,
     DatasetConfig,
     DigestMismatchError,
     bytes_to_frames,
@@ -22,6 +25,7 @@ from sigforge.dataset import (
     read,
     read_example,
     replay_example,
+    validate,
     verify_digests,
     write_shards,
 )
@@ -219,6 +223,20 @@ def test_worker_count_does_not_change_bytes(tmp_path):
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w4" / name).read_bytes()
 
 
+def test_force_rewrite_removes_stale_shards(tmp_path):
+    target = tmp_path / "ds"
+    write_shards(small_config(epc=2), target, shard_size=20)
+    (target / "notes.txt").write_text("kept")
+    manifest = write_shards(small_config(epc=1), target, force=True, shard_size=20)
+    shards = [e["name"] for e in manifest["shards"]]
+    assert shards == ["shard-00000", "shard-00001", "shard-00002"]
+    assert sorted(p.name for p in target.iterdir()) == sorted(
+        ["manifest.json", "notes.txt"] + [f"{n}.iq" for n in shards]
+        + [f"{n}.meta.jsonl" for n in shards])
+    verify_digests(target, manifest)
+    assert len(list(read(target))) == 53
+
+
 def test_digest_catches_corruption(tmp_path):
     config = small_config(epc=1)
     write_shards(config, tmp_path / "ds")
@@ -274,3 +292,98 @@ def test_stored_replay_matches_float32_bytes(tmp_path):
 def test_write_shards_rejects_bad_shard_size(tmp_path):
     with pytest.raises(ValueError):
         write_shards(small_config(epc=1), tmp_path / "ds", shard_size=0)
+
+
+@pytest.fixture(scope="module")
+def impaired_dir(tmp_path_factory):
+    """53 impaired examples, every one replayed by validate(sample=53)."""
+    target = tmp_path_factory.mktemp("impaired") / "ds"
+    write_shards(small_config("impaired-train", epc=1), target, shard_size=20)
+    return target
+
+
+def tampered_copy(source, target, index, change):
+    """Copy a dataset, apply change() to example index's meta dict and
+    re-digest only that shard's meta file, so the digest check passes (the
+    overall digest covers IQ only)."""
+    shutil.copytree(source, target)
+    manifest = load_manifest(target)
+    entry = next(e for e in manifest["shards"]
+                 if e["start_index"] <= index < e["start_index"] + e["count"])
+    meta_path = target / f"{entry['name']}.meta.jsonl"
+    lines = meta_path.read_bytes().splitlines(keepends=True)
+    meta = json.loads(lines[index - entry["start_index"]])
+    change(meta)
+    lines[index - entry["start_index"]] = meta_to_line(meta)
+    meta_path.write_bytes(b"".join(lines))
+    entry["meta_sha256"] = hashlib.sha256(meta_path.read_bytes()).hexdigest()
+    (target / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    return target
+
+
+def verdicts(results):
+    return {r.name: r.ok for r in results}
+
+
+def test_validate_passes_an_intact_dataset(impaired_dir, tmp_path):
+    results = validate(impaired_dir, sample=53)
+    assert verdicts(results) == {"digest": True, "class-balance": True,
+                                 "replay": True, "snr-calibration": True}
+    assert results[2] == CheckResult("replay", True, "53 sampled")
+    write_shards(small_config("clean-train", epc=1), tmp_path / "clean")
+    assert [(r.name, r.ok) for r in validate(tmp_path / "clean", sample=53)] == [
+        ("digest", True), ("class-balance", True), ("replay", True), ("fsk-envelope", True)]
+
+
+def test_validate_fails_replay_on_a_wrong_rng_key(impaired_dir, tmp_path):
+    def change(meta):
+        meta["rng_key"] += 1
+    target = tampered_copy(impaired_dir, tmp_path / "ds", 21, change)
+    verify_digests(target)
+    got = verdicts(validate(target, sample=53))
+    assert got["digest"] and got["class-balance"]
+    assert not got["replay"]
+
+
+def test_validate_fails_snr_on_a_shifted_target(impaired_dir, tmp_path):
+    # the AWGN step replays from its own esn0_db, so the frame still
+    # replays while the measured Es/N0 is 1 dB off the recorded target
+    index = next(meta["index"] for _frame, meta in read(impaired_dir)
+                 if any(s["kind"] == "awgn" for s in meta["record"]["steps"]))
+
+    def change(meta):
+        meta["record"]["target_esn0_db"] += 1.0
+    target = tampered_copy(impaired_dir, tmp_path / "ds", index, change)
+    got = verdicts(validate(target, sample=53))
+    assert got == {"digest": True, "class-balance": True,
+                   "replay": True, "snr-calibration": False}
+
+
+def test_validate_fails_balance_on_a_wrong_count(impaired_dir, tmp_path):
+    # the manifest's config echo is not digested, so the count is checked
+    # against the examples actually read
+    target = tmp_path / "ds"
+    shutil.copytree(impaired_dir, target)
+    manifest = load_manifest(target)
+    manifest["config"]["examples_per_class"] = 2
+    (target / "manifest.json").write_text(json.dumps(manifest))
+    results = validate(target, sample=4)
+    assert results[1] == CheckResult("class-balance", False,
+                                     "53 examples, 2 per class expected")
+    assert verdicts(results)["replay"]
+
+
+def test_validate_stops_at_a_digest_failure(impaired_dir, tmp_path):
+    target = tmp_path / "ds"
+    shutil.copytree(impaired_dir, target)
+    iq_path = target / "shard-00001.iq"
+    blob = bytearray(iq_path.read_bytes())
+    blob[7] ^= 0x01
+    iq_path.write_bytes(bytes(blob))
+    assert validate(target) == [
+        CheckResult("digest", False, "shard-00001.iq digest mismatch")]
+
+
+def test_validate_without_manifest(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        validate(tmp_path)

@@ -18,12 +18,14 @@ from sigforge.dataset import (
     frame_to_bytes,
     generate_example,
 )
+from sigforge.frame import FRAME_LEN
 from sigforge.registry import NUM_CLASSES
 from sigforge.rng import derive_stream
 from sigforge.server import (
     HEADER,
     MAGIC,
     MAX_BATCH,
+    MAX_BATCH_SAMPLES,
     MSG_ERROR,
     MSG_REQUEST,
     MSG_RESPONSE,
@@ -176,6 +178,25 @@ def test_unexpected_message_type_is_request_error(server):
         assert message_type == MSG_RESPONSE  # still alive
 
 
+@pytest.mark.parametrize("over", [
+    {"batch_size": MAX_BATCH, "frame_len": FRAME_LEN + 1},
+    {"batch_size": 1, "frame_len": MAX_BATCH_SAMPLES + 1},
+    {"batch_size": 2, "frame_len": MAX_BATCH_SAMPLES // 2 + 1},
+])
+def test_oversized_batch_draws_error_and_keeps_connection(server, over):
+    # just over the bound (case 2 by one sample); rejected before generating
+    assert over["batch_size"] * over["frame_len"] > MAX_BATCH_SAMPLES == MAX_BATCH * FRAME_LEN
+    with socket.create_connection(("127.0.0.1", server.port)) as sock:
+        sock.sendall(pack_frame(MSG_REQUEST, json.dumps(over).encode()))
+        message_type, payload = read_frame(sock)
+        assert message_type == MSG_ERROR
+        assert "batch_size * frame_len" in json.loads(payload)["error"]
+        sock.sendall(pack_frame(MSG_REQUEST,
+                                json.dumps({"batch_size": 1, "frame_len": 64}).encode()))
+        message_type, _ = read_frame(sock)
+        assert message_type == MSG_RESPONSE
+
+
 def test_build_batch_validation():
     defaults = ServerDefaults()
     with pytest.raises(RequestError):
@@ -203,6 +224,10 @@ def test_server_defaults_validation():
         ServerDefaults(frame_len=MIN_FRAME_LEN - 1)
     with pytest.raises(ValueError):
         ServerDefaults(batch_size=0)
+    with pytest.raises(ValueError):
+        ServerDefaults(batch_size=2, frame_len=MAX_BATCH_SAMPLES // 2 + 1)
+    # the largest batch of default-length frames stays legal
+    assert ServerDefaults(batch_size=MAX_BATCH, frame_len=FRAME_LEN).batch_size == MAX_BATCH
     defaults = ServerDefaults()
     assert (defaults.variant, defaults.seed, defaults.frame_len, defaults.batch_size) == (
         "impaired-train", 0, 4096, 32)
