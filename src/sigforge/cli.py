@@ -84,6 +84,9 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     try:
         results = ds.validate(args.in_dir, args.sample)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

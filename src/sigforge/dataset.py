@@ -363,7 +363,9 @@ def validate(dataset_dir: str | Path, sample: int = 20) -> list[CheckResult]:
     fails, as every later check reads those bytes), class-balance, replay
     of `sample` evenly spread examples, their Es/N0 within 0.2 dB of target
     (impaired) and envelope within 1e-6, the float32 rounding budget, of
-    constant (clean FSK). Raises FileNotFoundError if there is no manifest."""
+    constant (clean FSK). Raises ValueError if sample is negative and
+    FileNotFoundError if there is no manifest."""
+    check_int("sample", sample, 0)
     manifest = load_manifest(dataset_dir)
     try:
         verify_digests(dataset_dir, manifest)

@@ -161,12 +161,16 @@ def _resample(frame: np.ndarray, rate: float) -> np.ndarray:
     frac = Fraction(rate).limit_denominator(1024)
     up, down = frac.numerator, frac.denominator
     # Anti-alias/anti-image cutoff at the tighter of the two Nyquist edges
-    # (in the upsampled domain), one transition band inside it.
+    # (in the upsampled domain), one transition band inside it. The kernel
+    # is symmetric: design its left half, k = 0..half_width (np.kaiser's
+    # formula times the sinc), and mirror it.
     half_width = 10 * max(up, down)
-    taps = np.kaiser(2 * half_width + 1, _KAISER_BETA)
-    grid = np.arange(-half_width, half_width + 1, dtype=np.float64)
+    k = np.arange(0, half_width + 1, dtype=np.float64)
+    window = np.i0(_KAISER_BETA * np.sqrt(1 - ((k - half_width) / half_width) ** 2.0))
+    window /= np.i0(float(_KAISER_BETA))
     cutoff = 0.5 / max(up, down)
-    taps = taps * 2.0 * cutoff * np.sinc(2.0 * cutoff * grid)
+    left = window * 2.0 * cutoff * np.sinc(2.0 * cutoff * (k - half_width))
+    taps = np.concatenate([left, left[-2::-1]])
     # Unit DC sum; resample_poly itself applies the x`up` gain that
     # compensates zero-stuffing.
     taps /= taps.sum()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sigforge.constellations import ConstellationTable, build_constellation
+from sigforge.constellations import build_constellation
 from sigforge.filters import convolve_same, lowpass_taps
 from sigforge.frame import FRAME_LEN, normalize_unit_power
 from sigforge.registry import SignalDescriptor, class_by_name
@@ -68,12 +68,21 @@ def draw_ofdm_spec(num_subcarriers: int, rng: RngStream) -> OfdmSpec:
     )
 
 
-def _subcarrier_tables(spec: OfdmSpec, rng: RngStream) -> list[ConstellationTable]:
-    tables = [build_constellation(class_by_name(n).index) for n in SUBCARRIER_MOD_NAMES]
+# The subcarrier constellations, built once: every table's points in one
+# array, with each table's size and offset into it.
+_TABLE_POINTS = [build_constellation(class_by_name(n).index).points
+                 for n in SUBCARRIER_MOD_NAMES]
+_TABLE_SIZES = np.array([len(p) for p in _TABLE_POINTS], dtype=np.int64)
+_TABLE_OFFSETS = np.cumsum(_TABLE_SIZES) - _TABLE_SIZES
+_ALL_POINTS = np.concatenate(_TABLE_POINTS)
+
+
+def _subcarrier_tables(spec: OfdmSpec, rng: RngStream) -> np.ndarray:
+    """Index into SUBCARRIER_MOD_NAMES of each subcarrier's table: one
+    draw per subcarrier, or one draw shared by all of them."""
     if spec.per_subcarrier_random:
-        picks = rng.integers(0, len(tables), spec.num_subcarriers)
-        return [tables[p] for p in picks]
-    return [tables[rng.integers(0, len(tables))]] * spec.num_subcarriers
+        return rng.integers(0, len(SUBCARRIER_MOD_NAMES), spec.num_subcarriers)
+    return np.full(spec.num_subcarriers, rng.integers(0, len(SUBCARRIER_MOD_NAMES)))
 
 
 def ofdm_payload(spec: OfdmSpec, rng: RngStream, num_symbols: int) -> np.ndarray:
@@ -83,11 +92,14 @@ def ofdm_payload(spec: OfdmSpec, rng: RngStream, num_symbols: int) -> np.ndarray
     indices per subcarrier, low subcarrier first. The DC row (index N/2)
     is zeroed when ``spec.dc_present`` is false.
     """
-    tables = _subcarrier_tables(spec, rng)
+    picks = _subcarrier_tables(spec, rng)
     n = spec.num_subcarriers
-    values = np.empty((n, num_symbols), dtype=np.complex128)
-    for i, table in enumerate(tables):
-        values[i] = table.points[rng.integers(0, len(table.points), num_symbols)]
+    sizes = _TABLE_SIZES[picks][:, None]
+    # One draw for all runs; row i holds exactly what
+    # rng.integers(0, sizes[i], num_symbols) would return.
+    u = rng.unit(n * num_symbols).reshape(n, num_symbols)
+    symbols = np.minimum((u * sizes).astype(np.int64), sizes - 1)
+    values = _ALL_POINTS[_TABLE_OFFSETS[picks][:, None] + symbols]
     if not spec.dc_present:
         values[n // 2] = 0.0
     return values

@@ -43,11 +43,13 @@ def mix64(z: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer over a uint64 array."""
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _U64_MIX1
-        z = (z ^ (z >> np.uint64(27))) * _U64_MIX2
-        return z ^ (z >> np.uint64(31))
+    """Vectorized splitmix64 finalizer over a uint64 array.
+
+    Array arithmetic on uint64 wraps mod 2**64 silently; only numpy
+    scalars warn on overflow, so ``z`` must be an array."""
+    z = (z ^ (z >> np.uint64(30))) * _U64_MIX1
+    z = (z ^ (z >> np.uint64(27))) * _U64_MIX2
+    return z ^ (z >> np.uint64(31))
 
 
 def derive_stream(seed: int, index: int) -> "RngStream":
@@ -92,8 +94,7 @@ class RngStream:
             self.counter += 1
             return word
         idx = np.arange(1, n + 1, dtype=np.uint64) + np.uint64(self.counter & _MASK64)
-        with np.errstate(over="ignore"):
-            words = _mix64_array(np.uint64(self.key) + idx * _U64_GOLDEN)
+        words = _mix64_array(np.uint64(self.key) + idx * _U64_GOLDEN)
         self.counter += n
         return words
 

@@ -168,6 +168,13 @@ def test_validate_missing_dir(tmp_path, capsys):
     assert run(["validate", "--in", str(tmp_path / "nope")]) == 1
 
 
+def test_validate_rejects_negative_sample(clean_ds, capsys):
+    assert run(["validate", "--in", str(clean_ds), "--sample", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: sample must be >= 0, got -1\n"
+    assert captured.out == ""
+
+
 def test_parser_covers_all_subcommands():
     parser = build_parser()
     args = parser.parse_args(["serve", "--port", "9000"])

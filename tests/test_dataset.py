@@ -387,3 +387,10 @@ def test_validate_stops_at_a_digest_failure(impaired_dir, tmp_path):
 def test_validate_without_manifest(tmp_path):
     with pytest.raises(FileNotFoundError):
         validate(tmp_path)
+
+
+def test_validate_rejects_a_bad_sample_before_reading(tmp_path):
+    with pytest.raises(ValueError, match="sample must be >= 0"):
+        validate(tmp_path, -1)
+    with pytest.raises(TypeError):
+        validate(tmp_path, 1.5)

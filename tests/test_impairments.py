@@ -2,16 +2,20 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.signal import resample_poly
 
 from sigforge.impairments import (
+    _KAISER_BETA,
     DEFAULT_PROFILE,
     NO_IMPAIRMENT_PROFILE,
     ImpairmentProfile,
     ImpairmentRecord,
     ImpairmentStep,
+    _resample,
     add_awgn,
     apply_impairment_chain,
     draw_impairment_plan,
@@ -199,6 +203,30 @@ def test_resample_preserves_dc():
     out = random_resample(frame, 1.25)
     body = out[100:-100]
     np.testing.assert_allclose(body, 1.0, atol=1e-3)
+
+
+def reference_resample(frame, rate):
+    """_resample with the full Kaiser kernel designed by np.kaiser."""
+    frac = Fraction(rate).limit_denominator(1024)
+    up, down = frac.numerator, frac.denominator
+    half_width = 10 * max(up, down)
+    taps = np.kaiser(2 * half_width + 1, _KAISER_BETA)
+    grid = np.arange(-half_width, half_width + 1, dtype=np.float64)
+    cutoff = 0.5 / max(up, down)
+    taps = taps * 2.0 * cutoff * np.sinc(2.0 * cutoff * grid)
+    taps /= taps.sum()
+    return resample_poly(frame, up, down, window=taps)
+
+
+def test_resample_kernel_matches_full_kaiser_design():
+    """The mirrored half kernel gives identical output over 100 drawn
+    chain rates and the FSK path's 4 * cutoff rates, its range ends too."""
+    rng = derive_stream(10, 0)
+    rates = list(rng.uniform(0.75, 1.5, 100))
+    rates += list(4.0 * rng.uniform(0.15625, 0.46875, 20)) + [0.625, 1.875]
+    frame = derive_stream(10, 1).cnormal(4096)
+    for rate in rates:
+        np.testing.assert_array_equal(_resample(frame, rate), reference_resample(frame, rate))
 
 
 def test_fsk_lpf_resample_band_and_length():

@@ -1,8 +1,11 @@
 """Multicarrier synthesis: CP structure, subcarrier recovery, edges."""
 
+import math
+
 import numpy as np
 import pytest
 
+from sigforge.constellations import build_constellation
 from sigforge.ofdm import (
     CP_FRACTIONS,
     EDGE_TREATMENTS,
@@ -13,7 +16,7 @@ from sigforge.ofdm import (
     ofdm_payload,
     ofdm_symbol_stream,
 )
-from sigforge.registry import OFDM_SUBCARRIER_COUNTS
+from sigforge.registry import OFDM_SUBCARRIER_COUNTS, class_by_name
 from sigforge.rng import derive_stream
 
 
@@ -97,9 +100,6 @@ def test_single_modulation_mode_uses_one_table():
     # the union of distinct magnitudes stays small (<= 1024qam's 93 rings,
     # and far below what a mixture would produce across 6 tables).
     values = np.unique(np.round(payload.reshape(-1), 9))
-    from sigforge.constellations import build_constellation
-    from sigforge.registry import class_by_name
-
     matched = False
     for name in SUBCARRIER_MOD_NAMES:
         points = build_constellation(class_by_name(name).index).points
@@ -107,6 +107,42 @@ def test_single_modulation_mode_uses_one_table():
             matched = True
             break
     assert matched
+
+
+def reference_payload(spec, rng, num_symbols):
+    """The payload as one rng.integers run per subcarrier, low
+    subcarrier first, after the table pick(s)."""
+    tables = [build_constellation(class_by_name(n).index) for n in SUBCARRIER_MOD_NAMES]
+    if spec.per_subcarrier_random:
+        picks = rng.integers(0, len(tables), spec.num_subcarriers)
+        tables = [tables[p] for p in picks]
+    else:
+        tables = [tables[rng.integers(0, len(tables))]] * spec.num_subcarriers
+    values = np.empty((spec.num_subcarriers, num_symbols), dtype=np.complex128)
+    for i, table in enumerate(tables):
+        values[i] = table.points[rng.integers(0, len(table.points), num_symbols)]
+    if not spec.dc_present:
+        values[spec.num_subcarriers // 2] = 0.0
+    return values
+
+
+@pytest.mark.parametrize("n", OFDM_SUBCARRIER_COUNTS)
+def test_payload_matches_per_subcarrier_reference(n):
+    """26 drawn specs per subcarrier count (312 in all): the same values
+    and the same final counter as the per-subcarrier loop."""
+    modes, dc_flags = set(), set()
+    for i in range(26):
+        rng = derive_stream(71, n * 100 + i)
+        spec = draw_ofdm_spec(n, rng)
+        modes.add(spec.per_subcarrier_random)
+        dc_flags.add(spec.dc_present)
+        nsym = math.ceil(4096 / spec.symbol_len)
+        ours, theirs = rng.clone(), rng.clone()
+        np.testing.assert_array_equal(ofdm_payload(spec, ours, nsym),
+                                      reference_payload(spec, theirs, nsym))
+        assert ours.counter == theirs.counter
+    assert modes == {False, True}
+    assert dc_flags == {False, True}
 
 
 def test_random_modulation_mode_mixes_tables():

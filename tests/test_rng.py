@@ -1,5 +1,7 @@
 """Counter-mode RNG: determinism, stream independence, distribution shape."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,19 @@ def test_clone_is_independent_copy():
     stream.u64(5)
     twin = stream.clone()
     np.testing.assert_array_equal(stream.u64(8), twin.u64(8))
+
+
+def test_u64_wraps_the_counter_without_warnings():
+    """Words 2**64 - 2 .. 2**64 + 5 wrap the 64-bit counter: the array
+    path must agree with the scalar one and raise no overflow warning."""
+    start = 2**64 - 3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        words = RngStream(77, counter=start).u64(8)
+        scalar = RngStream(77, counter=start)
+        expected = [scalar.u64() for _ in range(8)]
+    assert words.dtype == np.uint64
+    assert words.tolist() == expected
 
 
 def test_derive_stream_rejects_negative_index():
