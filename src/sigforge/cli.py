@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 
 import numpy as np
@@ -104,6 +105,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"serving on {args.host}:{args.port}", flush=True)
+    # SIGTERM shuts down as Ctrl-C does: socket closed, pool terminated, exit 0
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         serve(args.host, args.port, defaults)
     except KeyboardInterrupt:

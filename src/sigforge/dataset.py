@@ -37,8 +37,7 @@ from sigforge.impairments import (
     ImpairmentProfile,
     ImpairmentRecord,
     apply_impairment_chain,
-    pre_noise_frame,
-    replay_impairments,
+    replay_with_pre_noise,
     synthesize_impaired_source,
 )
 from sigforge.registry import CLASS_LIST, NUM_CLASSES
@@ -50,9 +49,10 @@ DEFAULT_SHARD_SIZE = 4096
 # frames make some classes fail to generate; at 64, every class of both
 # variants generated over 40 seeds.
 MIN_FRAME_LEN = 64
-# Examples per generate_range call in write_shards: small enough to keep
-# pool workers evenly loaded and to stream a shard to disk rather than
-# hold it in memory, large enough to amortize a pool task's round trip.
+# Examples per generate_range call in iter_range: small enough to keep
+# pool workers evenly loaded (a default 32-frame batch is 4 tasks) and to
+# stream a shard to disk rather than hold it in memory, large enough to
+# amortize a pool task's round trip.
 _TASK_SIZE = 8
 
 VARIANTS = ("clean-train", "clean-val", "impaired-train", "impaired-val")
@@ -136,14 +136,15 @@ def generate_example(index: int, class_index: int, rng: RngStream,
 
 def _replay(meta: dict, frame_len: int
             ) -> tuple[np.ndarray, np.ndarray | None, ImpairmentRecord | None]:
-    """(replayed frame, impaired source, record) of a stored example; clean ones get None twice."""
+    """(replayed frame, its pre-noise frame, record) of a stored example,
+    from one pass; clean ones get None twice."""
     rng = RngStream(int(meta["rng_key"]))
     class_index = int(meta["class_index"])
     if "record" in meta:
         source, _descriptor, _shaping = synthesize_impaired_source(
             class_index, rng, frame_len)
         record = ImpairmentRecord.from_dict(meta["record"])
-        return replay_impairments(source, record), source, record
+        return *replay_with_pre_noise(source, record), record
     frame, _descriptor = gen_clean(class_index, rng, frame_len)
     return frame, None, None
 
@@ -202,6 +203,19 @@ def _generate_task(config: DatasetConfig, task: tuple[int, int]) -> tuple[bytes,
     return generate_range(config, *task)
 
 
+def iter_range(config: DatasetConfig, start: int, count: int,
+               pool: multiprocessing.pool.Pool | None = None) -> Iterator[tuple[bytes, bytes]]:
+    """generate_range(config, start, count) as the (IQ bytes, meta bytes)
+    of its _TASK_SIZE sub-ranges, in index order, so the parts concatenate
+    to generate_range's output. With a pool the sub-ranges run on its
+    workers; map and imap both yield in task order, so the bytes do not
+    depend on scheduling."""
+    tasks = [(first, min(_TASK_SIZE, start + count - first))
+             for first in range(start, start + count, _TASK_SIZE)]
+    generate = functools.partial(_generate_task, config)
+    return map(generate, tasks) if pool is None else pool.imap(generate, tasks)
+
+
 def _shard_name(shard_index: int) -> str:
     return f"shard-{shard_index:05d}"
 
@@ -225,20 +239,14 @@ def write_shards(config: DatasetConfig, out_dir: str | Path, workers: int = 1,
 
     overall = hashlib.sha256()
     shard_entries = []
-    generate = functools.partial(_generate_task, config)
     with multiprocessing.Pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
         for shard_index, start in enumerate(range(0, config.total_examples, shard_size)):
             count = min(shard_size, config.total_examples - start)
-            # tasks stay inside the shard, and map and imap both yield in
-            # task order, so the bytes do not depend on scheduling
-            tasks = [(first, min(_TASK_SIZE, start + count - first))
-                     for first in range(start, start + count, _TASK_SIZE)]
-            parts = map(generate, tasks) if pool is None else pool.imap(generate, tasks)
             name = _shard_name(shard_index)
             iq_sha256, meta_sha256 = hashlib.sha256(), hashlib.sha256()
             with open(out_path / f"{name}.iq", "wb") as iq_file, \
                     open(out_path / f"{name}.meta.jsonl", "wb") as meta_file:
-                for iq_bytes, meta_bytes in parts:
+                for iq_bytes, meta_bytes in iter_range(config, start, count, pool):
                     iq_file.write(iq_bytes)
                     meta_file.write(meta_bytes)
                     iq_sha256.update(iq_bytes)
@@ -381,11 +389,10 @@ def validate(dataset_dir: str | Path, sample: int = 20) -> list[CheckResult]:
         if meta["index"] != position or meta["class_index"] != position % NUM_CLASSES:
             in_order = False
         if position in sampled:
-            frame, source, record = _replay(meta, frame_len)
+            frame, signal, record = _replay(meta, frame_len)
             replay_ok = replay_ok and frame_to_bytes(frame) == frame32.tobytes()
             awgn = next((s for s in record.steps if s.kind == "awgn"), None) if record else None
             if awgn is not None:
-                signal = pre_noise_frame(source, record)
                 measured = measurement.measure_esn0(
                     signal, frame - signal, awgn.params["samples_per_symbol"])
                 snr_errors.append(abs(measured - record.target_esn0_db))

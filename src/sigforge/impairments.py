@@ -30,6 +30,8 @@ from sigforge.rng import RngStream
 # Kaiser design for the FSK low-pass and resampling kernels: beta 5.653
 # gives ~60 dB stopband, comfortably past the 40 dB contract.
 _KAISER_BETA = 5.653
+# np.kaiser's normaliser, I0(beta), for the resampling kernel
+_KAISER_I0 = np.i0(float(_KAISER_BETA))
 _FSK_LPF_NUM_TAPS = 129
 _FSK_LPF_TRANSITION = 0.028  # cycles/sample at 129 taps
 
@@ -167,7 +169,7 @@ def _resample(frame: np.ndarray, rate: float) -> np.ndarray:
     half_width = 10 * max(up, down)
     k = np.arange(0, half_width + 1, dtype=np.float64)
     window = np.i0(_KAISER_BETA * np.sqrt(1 - ((k - half_width) / half_width) ** 2.0))
-    window /= np.i0(float(_KAISER_BETA))
+    window /= _KAISER_I0
     cutoff = 0.5 / max(up, down)
     left = window * 2.0 * cutoff * np.sinc(2.0 * cutoff * (k - half_width))
     taps = np.concatenate([left, left[-2::-1]])
@@ -326,18 +328,32 @@ def _apply_step(frame: np.ndarray, step: ImpairmentStep) -> np.ndarray:
     if step.kind == "resample":
         return random_resample(frame, p["rate"])
     if step.kind == "awgn":
-        stream = RngStream(p["noise_key"], p["noise_counter"])
-        return add_awgn(normalize_unit_power(frame), p["esn0_db"],
-                        p["samples_per_symbol"], stream)
+        return _add_recorded_noise(normalize_unit_power(frame), p)
     raise ValueError(f"unknown impairment step kind {step.kind!r}")
+
+
+def _add_recorded_noise(signal: np.ndarray, params: dict) -> np.ndarray:
+    stream = RngStream(params["noise_key"], params["noise_counter"])
+    return add_awgn(signal, params["esn0_db"], params["samples_per_symbol"], stream)
 
 
 def replay_impairments(clean: np.ndarray, record: ImpairmentRecord) -> np.ndarray:
     """Re-run a recorded chain on the same clean frame, bit-exactly."""
-    frame = clean
+    return replay_with_pre_noise(clean, record)[0]
+
+
+def replay_with_pre_noise(clean: np.ndarray, record: ImpairmentRecord
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """(replay_impairments(clean, record), pre_noise_frame(clean, record))
+    from one pass over the recorded steps."""
+    frame, signal = clean, None
     for step in record.steps:
-        frame = _apply_step(frame, step)
-    return frame
+        if step.kind == "awgn" and signal is None:
+            signal = normalize_unit_power(frame)
+            frame = _add_recorded_noise(signal, step.params)
+        else:
+            frame = _apply_step(frame, step)
+    return frame, signal if signal is not None else normalize_unit_power(frame)
 
 
 def pre_noise_frame(clean: np.ndarray, record: ImpairmentRecord) -> np.ndarray:

@@ -13,7 +13,10 @@ defaults: {"batch_size": int (1..4096), "variant": str, "seed": int,
 and a batch holds at most MAX_BATCH_SAMPLES = 4096 * 4096 samples
 (batch_size * frame_len). Integer fields take JSON integers only:
 booleans, floats and strings are rejected, not coerced. Requests are
-capped at 1 MiB; responses are not.
+capped at 1 MiB; responses are not. Waiting for the first byte of a
+request is not limited, as trainers hold connections open between
+batches, but a connection that then goes _FRAME_TIMEOUT_S without a byte
+before its request frame is complete is closed.
 
 Response payload is a JSON header line — {"count", "frame_len",
 "dtype": "f32le-interleaved", "meta_bytes"} — terminated by "\n", then
@@ -22,21 +25,26 @@ of JSONL metadata.
 
 A batch is dataset.generate_range(config, start_index, batch_size) for
 the DatasetConfig the request describes, so example k of a batch is
-dataset example start_index+k of that variant and seed. The response is
-a pure function of the request: identical requests get identical bytes
-no matter which client sends them or when. A malformed header draws an
-error frame and a close; a well-framed but invalid request draws an
-error frame and the connection stays usable.
+dataset example start_index+k of that variant and seed. BatchServer
+generates it on a process pool with one worker per usable CPU, in the
+sub-ranges dataset.iter_range cuts for write_shards. The response is a
+pure function of the request: identical requests get identical bytes no
+matter which client sends them, when, or which worker generates them. A
+malformed header draws an error frame and a close; a well-framed but
+invalid request draws an error frame and the connection stays usable.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import signal
 import socket
 import socketserver
 import struct
 
-from sigforge.dataset import DatasetConfig, check_int, generate_range
+from sigforge.dataset import DatasetConfig, check_int, iter_range
 from sigforge.frame import FRAME_LEN
 
 MAGIC = b"SG53"
@@ -49,6 +57,8 @@ MAX_BATCH = 4096
 # size for frame length but not ask for more samples than this
 MAX_BATCH_SAMPLES = MAX_BATCH * FRAME_LEN
 _MAX_REQUEST_BYTES = 1 << 20
+# longest silence allowed partway through a request frame
+_FRAME_TIMEOUT_S = 30.0
 
 HEADER = struct.Struct("<4sBBI")
 
@@ -99,9 +109,11 @@ def _check_batch_samples(batch_size: int, frame_len: int) -> None:
                          f"got {batch_size} * {frame_len}")
 
 
-def build_batch(request: dict, defaults: "ServerDefaults") -> bytes:
-    """Generate the response payload for a request dict; raises
-    RequestError if a field has the wrong type or is out of range."""
+def build_batch(request: dict, defaults: "ServerDefaults",
+                pool: multiprocessing.pool.Pool | None = None) -> bytes:
+    """Generate the response payload for a request dict, on the pool's
+    workers if one is given, else in this process; the bytes are the same.
+    Raises RequestError if a field has the wrong type or is out of range."""
     batch_size = request.get("batch_size", defaults.batch_size)
     start_index = request.get("start_index", 0)
     try:
@@ -114,7 +126,9 @@ def build_batch(request: dict, defaults: "ServerDefaults") -> bytes:
         _check_batch_samples(batch_size, config.frame_len)
     except (TypeError, ValueError) as exc:
         raise RequestError(str(exc)) from exc
-    iq_blob, meta_blob = generate_range(config, start_index, batch_size)
+    parts = list(iter_range(config, start_index, batch_size, pool))
+    iq_blob = b"".join(iq for iq, _meta in parts)
+    meta_blob = b"".join(meta for _iq, meta in parts)
     header = json.dumps({
         "count": batch_size,
         "frame_len": config.frame_len,
@@ -144,11 +158,15 @@ class _Handler(socketserver.BaseRequestHandler):
         defaults = self.server.defaults
         while True:
             try:
+                if not sock.recv(1, socket.MSG_PEEK):  # idle between requests: no limit
+                    return
+                sock.settimeout(_FRAME_TIMEOUT_S)
                 message_type, length = _read_header(sock)
                 if length > _MAX_REQUEST_BYTES:
                     raise ProtocolError(f"payload of {length} bytes exceeds limit")
                 payload = recv_exact(sock, length)
-            except ConnectionError:
+                sock.settimeout(None)
+            except (ConnectionError, TimeoutError):
                 return
             except ProtocolError as exc:
                 self._send_error(sock, str(exc))
@@ -162,7 +180,7 @@ class _Handler(socketserver.BaseRequestHandler):
                     raise RequestError(f"request is not valid JSON: {exc}") from exc
                 if not isinstance(request, dict):
                     raise RequestError("request must be a JSON object")
-                response = build_batch(request, defaults)
+                response = build_batch(request, defaults, self.server.pool)
             except RequestError as exc:
                 self._send_error(sock, str(exc))
                 continue
@@ -180,24 +198,48 @@ class _Handler(socketserver.BaseRequestHandler):
             pass
 
 
+def _init_worker() -> None:
+    """Pool workers die on the SIGTERM of Pool.terminate and leave Ctrl-C
+    to the server, which then terminates them."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 class BatchServer(socketserver.ThreadingTCPServer):
     """One thread per connection; a connection handles one batch at a time,
-    which bounds buffered memory per client."""
+    which bounds buffered memory per client. Batches are generated on a
+    process pool of one worker per usable CPU (none on a single CPU), which
+    lives until server_close()."""
 
     allow_reuse_address = True
     daemon_threads = True
 
     def __init__(self, address: tuple[str, int], defaults: ServerDefaults | None = None):
-        super().__init__(address, _Handler)
         self.defaults = defaults if defaults is not None else ServerDefaults()
+        # Forked before the listening socket exists, so workers do not hold
+        # it open, and before serve_forever starts any handler thread, as
+        # forking a threaded process is unsafe. Forked workers start with
+        # every module imported; spawned ones would each spend over a second
+        # importing scipy before the first batch.
+        cpus = len(os.sched_getaffinity(0))
+        self.pool = (multiprocessing.get_context("fork").Pool(cpus, _init_worker)
+                     if cpus > 1 else None)
+        super().__init__(address, _Handler)  # a failed bind calls server_close
 
     @property
     def port(self) -> int:
         return self.server_address[1]
 
+    def server_close(self) -> None:
+        """Close the listening socket, then terminate and join the pool."""
+        super().server_close()
+        if self.pool is not None:
+            self.pool.terminate()
+            self.pool.join()
+
 
 def serve(host: str, port: int, defaults: ServerDefaults | None = None) -> None:
-    """Run until interrupted."""
+    """Run until interrupted; the pool is gone once this returns or raises."""
     with BatchServer((host, port), defaults) as server:
         server.serve_forever()
 

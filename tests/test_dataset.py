@@ -20,6 +20,7 @@ from sigforge.dataset import (
     frame_to_bytes,
     generate_example,
     generate_range,
+    iter_range,
     load_manifest,
     meta_to_line,
     read,
@@ -92,6 +93,16 @@ def test_plan_round_robin():
     frame_bytes = MIN_FRAME_LEN * 8
     assert iq_a + iq_b == iq[50 * frame_bytes:57 * frame_bytes]
     assert meta_a + meta_b == b"".join(meta.splitlines(keepends=True)[50:57])
+
+
+def test_iter_range_cuts_task_sized_parts_in_index_order():
+    config = small_config(epc=1, frame_len=MIN_FRAME_LEN)
+    parts = list(iter_range(config, 50, 13))  # crosses the class wrap at 53
+    assert [len(iq) // (MIN_FRAME_LEN * 8) for iq, _meta in parts] == [8, 5]
+    iq, meta = generate_range(config, 50, 13)
+    assert b"".join(p[0] for p in parts) == iq
+    assert b"".join(p[1] for p in parts) == meta
+    assert list(iter_range(config, 7, 0)) == []
 
 
 def test_serialization_round_trip():

@@ -15,6 +15,7 @@ from sigforge.impairments import (
     ImpairmentProfile,
     ImpairmentRecord,
     ImpairmentStep,
+    _apply_step,
     _resample,
     add_awgn,
     apply_impairment_chain,
@@ -30,6 +31,7 @@ from sigforge.impairments import (
     random_pulse_shape_linear,
     random_resample,
     replay_impairments,
+    replay_with_pre_noise,
     synthesize_impaired_source,
     time_shift,
 )
@@ -350,6 +352,24 @@ def test_chain_replay_is_bit_exact():
             clean, desc, DEFAULT_PROFILE, derive_stream(16, i))
         again = replay_impairments(clean, record)
         np.testing.assert_array_equal(impaired, again)
+
+
+@pytest.mark.parametrize("profile", [
+    DEFAULT_PROFILE,
+    NO_IMPAIRMENT_PROFILE,  # no awgn step: the output itself, normalised
+    ImpairmentProfile(esn0_range_db=(math.inf, math.inf)),
+])
+def test_replay_with_pre_noise_is_one_pass_of_both(profile):
+    for i in range(8):
+        clean, desc, _ = synthesize_impaired_source(i * 7 % 53, derive_stream(22, i))
+        impaired, record = apply_impairment_chain(clean, desc, profile, derive_stream(23, i))
+        reference = clean  # the step-by-step replay loop
+        for step in record.steps:
+            reference = _apply_step(reference, step)
+        frame, signal = replay_with_pre_noise(clean, record)
+        np.testing.assert_array_equal(frame, impaired)
+        np.testing.assert_array_equal(frame, reference)
+        np.testing.assert_array_equal(signal, pre_noise_frame(clean, record))
 
 
 def test_record_survives_json_round_trip():

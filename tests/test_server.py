@@ -1,15 +1,23 @@
 """Wire protocol framing, request handling, and statelessness."""
 
 import json
+import multiprocessing
+import os
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sigforge import server as server_module
 from sigforge.dataset import (
     MIN_FRAME_LEN,
     VARIANTS,
@@ -40,14 +48,38 @@ from sigforge.server import (
 )
 
 
-@pytest.fixture
-def server():
-    srv = BatchServer(("127.0.0.1", 0))
+def _start(srv):
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     yield srv
     srv.shutdown()
     srv.server_close()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+@pytest.fixture
+def server():
+    yield from _start(BatchServer(("127.0.0.1", 0)))
+
+
+@pytest.fixture
+def pooled_server(monkeypatch):
+    """A server that sees three usable CPUs, so its pool has three workers
+    on any host, possibly more than it has cores."""
+    with monkeypatch.context() as patch:
+        patch.setattr(server_module.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        srv = BatchServer(("127.0.0.1", 0))
+    yield from _start(srv)
+
+
+def _served_payload(port, request):
+    """The payload of the response frame the server sends for request."""
+    with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+        sock.sendall(pack_frame(MSG_REQUEST, json.dumps(request).encode()))
+        message_type, payload = read_frame(sock)
+    assert message_type == MSG_RESPONSE, payload
+    return payload
 
 
 def test_header_layout():
@@ -312,3 +344,128 @@ def test_batch_crosses_class_wraparound(server):
     assert lines[0]["class_index"] == 52
     assert lines[1]["class_index"] == 0
     assert np.all(np.isfinite(bytes_to_frames(iq, 64)))
+
+
+@pytest.mark.parametrize("request_fields", [
+    # 13 frames are one full pool task and one short one, across the class wrap
+    {"start_index": 50, "batch_size": 13, "seed": 4},
+    {"start_index": 3, "batch_size": 20, "frame_len": 64, "variant": "clean-val"},
+])
+def test_pool_batch_equals_in_process_build_batch(pooled_server, request_fields):
+    assert pooled_server.pool is not None
+    assert _served_payload(pooled_server.port, request_fields) == build_batch(
+        request_fields, ServerDefaults())
+
+
+def test_pool_serves_concurrent_clients_on_disjoint_ranges(pooled_server):
+    requests = [{"start_index": 1000 * c, "batch_size": 9, "frame_len": 256, "seed": 8}
+                for c in range(3)]
+    payloads = [None] * 3
+
+    def client(c):
+        payloads[c] = _served_payload(pooled_server.port, requests[c])
+
+    threads = [threading.Thread(target=client, args=(c,)) for c in range(3)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    for request, payload in zip(requests, payloads):
+        assert payload == build_batch(request, ServerDefaults())
+
+
+def test_server_close_leaves_no_pool_worker(monkeypatch):
+    before = {p.pid for p in multiprocessing.active_children()}
+    monkeypatch.setattr(server_module.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    srv = BatchServer(("127.0.0.1", 0))
+    workers = {p.pid for p in multiprocessing.active_children()} - before
+    assert len(workers) == 3
+    srv.server_close()
+    assert not workers & {p.pid for p in multiprocessing.active_children()}
+
+
+def test_single_cpu_server_has_no_pool(monkeypatch):
+    monkeypatch.setattr(server_module.os, "sched_getaffinity", lambda pid: {0})
+    srv = BatchServer(("127.0.0.1", 0))
+    try:
+        assert srv.pool is None
+    finally:
+        srv.server_close()
+
+
+def test_mid_frame_stall_is_disconnected(server, monkeypatch):
+    monkeypatch.setattr(server_module, "_FRAME_TIMEOUT_S", 0.3)
+    with socket.create_connection(("127.0.0.1", server.port), timeout=10) as stalled:
+        stalled.sendall(pack_frame(MSG_REQUEST, b"{}")[:3])
+        started = time.monotonic()
+        assert stalled.recv(1) == b""  # closed, with no error frame
+        assert time.monotonic() - started < 5
+        # the stalled connection does not hold up anyone else
+        header, _iq, _meta = request_batch("127.0.0.1", server.port,
+                                           batch_size=1, frame_len=64)
+        assert header["count"] == 1
+
+
+def test_idle_connection_between_frames_is_kept(server, monkeypatch):
+    monkeypatch.setattr(server_module, "_FRAME_TIMEOUT_S", 0.2)
+    with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+        for _ in range(2):
+            time.sleep(0.5)  # idle longer than the frame timeout
+            sock.sendall(pack_frame(MSG_REQUEST,
+                                    json.dumps({"batch_size": 1, "frame_len": 64}).encode()))
+            message_type, _ = read_frame(sock)
+            assert message_type == MSG_RESPONSE
+
+
+def _child_pids(pid):
+    children = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:  # exited while we looked
+            continue
+        if int(fields[1]) == pid:  # fields: state, ppid, ...
+            children.add(int(stat.parent.name))
+    return children
+
+
+def _free_port():
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_sigterm_stops_serve_and_every_pool_worker():
+    port = _free_port()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen([sys.executable, "-m", "sigforge.cli", "serve", "--port", str(port)],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60
+        while True:
+            try:
+                request_batch("127.0.0.1", port, batch_size=1, frame_len=64)
+                break
+            except OSError:  # not listening yet
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+        workers = _child_pids(proc.pid)
+        cpus = len(os.sched_getaffinity(0))
+        assert len(workers) == (cpus if cpus > 1 else 0)
+        # a batch still being generated when the signal comes
+        with socket.create_connection(("127.0.0.1", port)) as busy:
+            busy.sendall(pack_frame(MSG_REQUEST, json.dumps({"batch_size": 512}).encode()))
+            time.sleep(0.3)
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=20)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 0, err
+    assert out.startswith(b"serving on") and err == b""  # no worker traceback
+    # the server reaped its workers before it exited
+    assert not [pid for pid in workers if Path(f"/proc/{pid}").exists()]
