@@ -18,16 +18,6 @@ from sigforge.registry import NUM_CLASSES, class_by_index
 from sigforge.server import ServerDefaults, serve
 
 
-def _default_workers() -> int:
-    env = os.environ.get("SIGFORGE_WORKERS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise SystemExit(f"SIGFORGE_WORKERS must be an integer, got {env!r}")
-    return 1
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.count % NUM_CLASSES != 0:
         print(f"error: --count must be divisible by {NUM_CLASSES} "
@@ -40,12 +30,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             dataset_seed=args.seed,
             frame_len=args.frame_len,
         )
+        # write_shards checks workers >= 1 before it writes anything
+        manifest = ds.write_shards(config, args.out, workers=args.workers, force=args.force)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    workers = args.workers if args.workers is not None else _default_workers()
-    try:
-        manifest = ds.write_shards(config, args.out, workers=workers, force=args.force)
     except FileExistsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -125,8 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help=f"total examples; must be divisible by {NUM_CLASSES}")
     gen.add_argument("--out", required=True)
     gen.add_argument("--seed", required=True, type=int)
-    gen.add_argument("--workers", type=int, default=None,
-                     help="parallel generators (default: $SIGFORGE_WORKERS or 1)")
+    gen.add_argument("--workers", type=int, default=len(os.sched_getaffinity(0)),
+                     help="parallel generators (default: one per usable CPU)")
     gen.add_argument("--frame-len", type=int, default=FRAME_LEN,
                      help=f"samples per frame (>= {ds.MIN_FRAME_LEN}, default {FRAME_LEN})")
     gen.add_argument("--force", action="store_true",

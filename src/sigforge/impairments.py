@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
-from scipy.signal import resample_poly
 
 from sigforge.clean import gen_clean
 from sigforge.filters import convolve_same, lowpass_taps
@@ -156,12 +155,18 @@ def iq_imbalance(frame: np.ndarray, amplitude_db: float, phase_rad: float,
 
 def _resample(frame: np.ndarray, rate: float) -> np.ndarray:
     """Arbitrary-rate polyphase resampling (no length restore, no range
-    check). Rational approximation p/q with q <= 1024; Kaiser
-    windowed-sinc kernel; rate 1.0 short-circuits to an exact identity."""
-    if rate == 1.0:
-        return frame.copy()
+    check). Rational approximation up/down with down <= 1024; Kaiser
+    windowed-sinc kernel; a rate that rounds to 1/1 is an exact identity.
+
+    Output j is the kernel, scaled by ``up``, centred on the zero-stuffed
+    input at j * down; there are ceil(len(frame) * up / down) outputs.
+    Each starts from zero and adds its tap-times-input products oldest
+    input first, so the bytes are a function of numpy's arithmetic alone.
+    """
     frac = Fraction(rate).limit_denominator(1024)
     up, down = frac.numerator, frac.denominator
+    if up == down:
+        return frame.copy()
     # Anti-alias/anti-image cutoff at the tighter of the two Nyquist edges
     # (in the upsampled domain), one transition band inside it. The kernel
     # is symmetric: design its left half, k = 0..half_width (np.kaiser's
@@ -173,10 +178,26 @@ def _resample(frame: np.ndarray, rate: float) -> np.ndarray:
     cutoff = 0.5 / max(up, down)
     left = window * 2.0 * cutoff * np.sinc(2.0 * cutoff * (k - half_width))
     taps = np.concatenate([left, left[-2::-1]])
-    # Unit DC sum; resample_poly itself applies the x`up` gain that
-    # compensates zero-stuffing.
+    # Unit DC sum, then the x`up` gain that compensates zero-stuffing.
     taps /= taps.sum()
-    return resample_poly(frame, up, down, window=taps)
+    taps *= up
+    # The kernel centre of output j sits at n = j * down + half_width on the
+    # zero-stuffed grid, so output j weighs inputs newest = n // up back to
+    # newest - rows + 1 by taps phase + s * up, phase = n % up, s = 0..rows-1.
+    # Row r of the bank holds the taps of s = rows - 1 - r, zero past the
+    # kernel's end; the input has rows - 1 zeros in front, so row r meets
+    # padded[r + newest], and rows run oldest input first.
+    rows = -(-len(taps) // up)
+    bank = np.zeros(rows * up)
+    bank[:len(taps)] = taps
+    bank = bank.reshape(rows, up)[::-1]
+    newest, phase = np.divmod(np.arange(-(-len(frame) * up // down)) * down + half_width, up)
+    padded = np.concatenate([np.zeros(rows - 1), frame,
+                             np.zeros(max(0, newest[-1] + 1 - len(frame)))])
+    out = np.zeros(len(newest), dtype=padded.dtype)
+    for r in range(rows):
+        out += bank[r, phase] * padded[r:][newest]
+    return out
 
 
 def random_resample(frame: np.ndarray, rate: float) -> np.ndarray:

@@ -16,7 +16,8 @@ booleans, floats and strings are rejected, not coerced. Requests are
 capped at 1 MiB; responses are not. Waiting for the first byte of a
 request is not limited, as trainers hold connections open between
 batches, but a connection that then goes _FRAME_TIMEOUT_S without a byte
-before its request frame is complete is closed.
+before its request frame is complete, or without taking a byte of its
+reply, is closed.
 
 Response payload is a JSON header line — {"count", "frame_len",
 "dtype": "f32le-interleaved", "meta_bytes"} — terminated by "\n", then
@@ -36,6 +37,7 @@ invalid request draws an error frame and the connection stays usable.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
@@ -57,7 +59,8 @@ MAX_BATCH = 4096
 # size for frame length but not ask for more samples than this
 MAX_BATCH_SAMPLES = MAX_BATCH * FRAME_LEN
 _MAX_REQUEST_BYTES = 1 << 20
-# longest silence allowed partway through a request frame
+# longest silence allowed partway through a request frame, and the
+# longest a reply may wait for the peer to take its next chunk
 _FRAME_TIMEOUT_S = 30.0
 
 HEADER = struct.Struct("<4sBBI")
@@ -87,6 +90,18 @@ def recv_exact(sock: socket.socket, count: int) -> bytes:
     return b"".join(chunks)
 
 
+def _send_frame(sock: socket.socket, message_type: int, payload: bytes) -> None:
+    """Send one frame a chunk at a time, so the socket's timeout bounds
+    each chunk rather than the whole frame; raises OSError on timeout."""
+    view = memoryview(pack_frame(message_type, payload))
+    while view:
+        view = view[sock.send(view):]
+
+
+def _error_payload(message: str) -> bytes:
+    return json.dumps({"error": message}).encode("utf-8")
+
+
 def _read_header(sock: socket.socket) -> tuple[int, int]:
     """Read and check one frame header; returns (type, payload length)."""
     magic, version, message_type, length = HEADER.unpack(recv_exact(sock, HEADER.size))
@@ -103,10 +118,17 @@ def read_frame(sock: socket.socket) -> tuple[int, bytes]:
     return message_type, recv_exact(sock, length)
 
 
-def _check_batch_samples(batch_size: int, frame_len: int) -> None:
+def _check_request(variant: object, seed: object, frame_len: object,
+                   batch_size: object) -> DatasetConfig:
+    """The DatasetConfig a batch request describes; raises TypeError or
+    ValueError if a field has the wrong type or is out of range."""
+    check_int("batch_size", batch_size, 1, MAX_BATCH)
+    config = DatasetConfig(variant=variant, examples_per_class=1, dataset_seed=seed,
+                           frame_len=frame_len)
     if batch_size * frame_len > MAX_BATCH_SAMPLES:
         raise ValueError(f"batch_size * frame_len must be <= {MAX_BATCH_SAMPLES}, "
                          f"got {batch_size} * {frame_len}")
+    return config
 
 
 def build_batch(request: dict, defaults: "ServerDefaults",
@@ -117,13 +139,10 @@ def build_batch(request: dict, defaults: "ServerDefaults",
     batch_size = request.get("batch_size", defaults.batch_size)
     start_index = request.get("start_index", 0)
     try:
-        check_int("batch_size", batch_size, 1, MAX_BATCH)
+        config = _check_request(request.get("variant", defaults.variant),
+                                request.get("seed", defaults.seed),
+                                request.get("frame_len", defaults.frame_len), batch_size)
         check_int("start_index", start_index, 0)
-        config = DatasetConfig(variant=request.get("variant", defaults.variant),
-                               examples_per_class=1,
-                               dataset_seed=request.get("seed", defaults.seed),
-                               frame_len=request.get("frame_len", defaults.frame_len))
-        _check_batch_samples(batch_size, config.frame_len)
     except (TypeError, ValueError) as exc:
         raise RequestError(str(exc)) from exc
     parts = list(iter_range(config, start_index, batch_size, pool))
@@ -142,10 +161,7 @@ class ServerDefaults:
     def __init__(self, variant: str = "impaired-train", seed: int = 0,
                  frame_len: int = FRAME_LEN, batch_size: int = 32):
         # fail at start-up, not on every request that leaves a field unset
-        DatasetConfig(variant=variant, examples_per_class=1, dataset_seed=seed,
-                      frame_len=frame_len)
-        check_int("batch_size", batch_size, 1, MAX_BATCH)
-        _check_batch_samples(batch_size, frame_len)
+        _check_request(variant, seed, frame_len, batch_size)
         self.variant = variant
         self.seed = seed
         self.frame_len = frame_len
@@ -155,21 +171,22 @@ class ServerDefaults:
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
         sock = self.request
-        defaults = self.server.defaults
         while True:
+            sock.settimeout(None)  # idle between requests: no limit
             try:
-                if not sock.recv(1, socket.MSG_PEEK):  # idle between requests: no limit
+                if not sock.recv(1, socket.MSG_PEEK):
                     return
+                # from the first byte through the reply, per read and per write chunk
                 sock.settimeout(_FRAME_TIMEOUT_S)
                 message_type, length = _read_header(sock)
                 if length > _MAX_REQUEST_BYTES:
                     raise ProtocolError(f"payload of {length} bytes exceeds limit")
                 payload = recv_exact(sock, length)
-                sock.settimeout(None)
             except (ConnectionError, TimeoutError):
                 return
             except ProtocolError as exc:
-                self._send_error(sock, str(exc))
+                with contextlib.suppress(OSError):
+                    _send_frame(sock, MSG_ERROR, _error_payload(str(exc)))
                 return
             try:
                 if message_type != MSG_REQUEST:
@@ -180,22 +197,13 @@ class _Handler(socketserver.BaseRequestHandler):
                     raise RequestError(f"request is not valid JSON: {exc}") from exc
                 if not isinstance(request, dict):
                     raise RequestError("request must be a JSON object")
-                response = build_batch(request, defaults, self.server.pool)
+                reply = MSG_RESPONSE, build_batch(request, self.server.defaults, self.server.pool)
             except RequestError as exc:
-                self._send_error(sock, str(exc))
-                continue
+                reply = MSG_ERROR, _error_payload(str(exc))
             try:
-                sock.sendall(pack_frame(MSG_RESPONSE, response))
-            except OSError:
+                _send_frame(sock, *reply)
+            except OSError:  # the peer is gone or stopped reading
                 return
-
-    @staticmethod
-    def _send_error(sock: socket.socket, message: str) -> None:
-        payload = json.dumps({"error": message}).encode("utf-8")
-        try:
-            sock.sendall(pack_frame(MSG_ERROR, payload))
-        except OSError:
-            pass
 
 
 def _init_worker() -> None:
@@ -218,9 +226,9 @@ class BatchServer(socketserver.ThreadingTCPServer):
         self.defaults = defaults if defaults is not None else ServerDefaults()
         # Forked before the listening socket exists, so workers do not hold
         # it open, and before serve_forever starts any handler thread, as
-        # forking a threaded process is unsafe. Forked workers start with
-        # every module imported; spawned ones would each spend over a second
-        # importing scipy before the first batch.
+        # forking a threaded process is unsafe. Forked workers inherit every
+        # module this process has imported, so none re-imports numpy and
+        # sigforge before its first batch.
         cpus = len(os.sched_getaffinity(0))
         self.pool = (multiprocessing.get_context("fork").Pool(cpus, _init_worker)
                      if cpus > 1 else None)

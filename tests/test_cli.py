@@ -1,11 +1,15 @@
 """End-user command flows, exercised through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sigforge.cli import _default_workers, build_parser, main
+from sigforge.cli import build_parser, main
 
 
 def run(argv):
@@ -67,25 +71,36 @@ def test_generate_refuses_overwrite_without_force(tmp_path, capsys):
     assert run(args + ["--force"]) == 0
 
 
-def test_generate_worker_flag_and_env_agree(tmp_path, capsys, monkeypatch):
+def test_generate_default_workers_and_one_worker_agree(tmp_path, capsys):
     base = ["generate", "--variant", "clean-val", "--count", "53",
             "--seed", "6", "--frame-len", "128"]
     assert run(base + ["--out", str(tmp_path / "a"), "--workers", "1"]) == 0
     digest_a = capsys.readouterr().out.strip()
-    monkeypatch.setenv("SIGFORGE_WORKERS", "3")
+    assert build_parser().parse_args(base + ["--out", "b"]).workers == len(os.sched_getaffinity(0))
     assert run(base + ["--out", str(tmp_path / "b")]) == 0
     digest_b = capsys.readouterr().out.strip()
     assert digest_a == digest_b
 
 
-def test_workers_env_validation(monkeypatch):
-    monkeypatch.setenv("SIGFORGE_WORKERS", "two")
-    with pytest.raises(SystemExit):
-        _default_workers()
-    monkeypatch.setenv("SIGFORGE_WORKERS", "4")
-    assert _default_workers() == 4
-    monkeypatch.delenv("SIGFORGE_WORKERS")
-    assert _default_workers() == 1
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_generate_rejects_workers_below_one(tmp_path, capsys, workers):
+    out = tmp_path / "ds"
+    code = run(["generate", "--variant", "clean-val", "--count", "53",
+                "--seed", "6", "--out", str(out), "--workers", workers])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: workers must be >= 1")
+    assert not out.exists()
+
+
+def test_cli_and_server_import_no_scipy():
+    """numpy is the only runtime dependency; scipy is a test oracle."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = ("import sys, sigforge.cli, sigforge.server; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout == "[]\n"
 
 
 def test_inspect_meta(clean_ds, capsys):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.signal import resample_poly
 
+from sigforge.dataset import MIN_FRAME_LEN
 from sigforge.impairments import (
     _KAISER_BETA,
     DEFAULT_PROFILE,
@@ -221,14 +222,20 @@ def reference_resample(frame, rate):
 
 
 def test_resample_kernel_matches_full_kaiser_design():
-    """The mirrored half kernel gives identical output over 100 drawn
-    chain rates and the FSK path's 4 * cutoff rates, its range ends too."""
+    """The mirrored half kernel and the numpy polyphase filter give
+    scipy's bytes over 100 drawn chain rates and the FSK path's
+    4 * cutoff rates, its range ends too, and rates on either side of
+    the 1/1 approximation; at the shortest legal frame, an odd length
+    and the default length, so both frame edges are covered."""
     rng = derive_stream(10, 0)
     rates = list(rng.uniform(0.75, 1.5, 100))
     rates += list(4.0 * rng.uniform(0.15625, 0.46875, 20)) + [0.625, 1.875]
-    frame = derive_stream(10, 1).cnormal(4096)
-    for rate in rates:
-        np.testing.assert_array_equal(_resample(frame, rate), reference_resample(frame, rate))
+    rates += [1.0004, 0.9996, 1.0005, 0.9995]  # 1/1, 1/1, 1025/1024, 1023/1024
+    for frame_len in (MIN_FRAME_LEN, 1001, 4096):
+        frame = derive_stream(10, 1).cnormal(frame_len)
+        for rate in rates:
+            np.testing.assert_array_equal(_resample(frame, rate),
+                                          reference_resample(frame, rate))
 
 
 def test_fsk_lpf_resample_band_and_length():

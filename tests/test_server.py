@@ -407,6 +407,32 @@ def test_mid_frame_stall_is_disconnected(server, monkeypatch):
         assert header["count"] == 1
 
 
+def test_client_that_stops_reading_is_disconnected(server, monkeypatch):
+    monkeypatch.setattr(server_module, "_FRAME_TIMEOUT_S", 0.3)
+    # small buffers at both ends, so the kernel cannot take all of the
+    # 2 MiB reply (an autotuned send buffer grows to several MiB)
+    def small_send_buffer(handler):
+        handler.request.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+
+    monkeypatch.setattr(server_module._Handler, "setup", small_send_buffer)
+    before = set(threading.enumerate())
+    with socket.socket() as stalled:
+        stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        stalled.connect(("127.0.0.1", server.port))
+        stalled.sendall(pack_frame(MSG_REQUEST, json.dumps(
+            {"batch_size": 64, "variant": "clean-train"}).encode()))
+        deadline = time.monotonic() + 30
+        while not (handlers := set(threading.enumerate()) - before):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        for handler in handlers:  # never reads, yet its handler thread ends
+            handler.join(timeout=deadline - time.monotonic())
+            assert not handler.is_alive()
+        header, _iq, _meta = request_batch("127.0.0.1", server.port,
+                                           batch_size=1, frame_len=64)
+        assert header["count"] == 1
+
+
 def test_idle_connection_between_frames_is_kept(server, monkeypatch):
     monkeypatch.setattr(server_module, "_FRAME_TIMEOUT_S", 0.2)
     with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
