@@ -46,6 +46,9 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     try:
         manifest = ds.load_manifest(args.in_dir)
         frame32, meta = ds.read_example(args.in_dir, args.index, manifest)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (FileNotFoundError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

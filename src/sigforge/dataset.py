@@ -3,7 +3,8 @@
 A dataset is a directory of fixed-size shards plus a manifest:
 
     manifest.json            UTF-8 JSON: format version, config echo,
-                             shard table, per-class counts, digests
+                             shard table, per-class counts, digests,
+                             and manifest_sha256, the digest of the rest
     shard-NNNNN.iq           little-endian float32, interleaved re/im,
                              frame-major, no header
     shard-NNNNN.meta.jsonl   one JSON object per example, same order
@@ -43,7 +44,7 @@ from sigforge.impairments import (
 from sigforge.registry import CLASS_LIST, NUM_CLASSES
 from sigforge.rng import RngStream, derive_stream
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 DEFAULT_SHARD_SIZE = 4096
 # Shortest supported frame. Time shifts reach 32 samples, and shorter
 # frames make some classes fail to generate; at 64, every class of both
@@ -74,7 +75,11 @@ REFERENCE_TOTALS = {
 
 
 class DigestMismatchError(ValueError):
-    """A shard's bytes do not match the manifest digest."""
+    """A shard's bytes, or the manifest itself, do not match its digest."""
+
+
+class UnsupportedFormatError(ValueError):
+    """A manifest's format_version is not the one this version reads."""
 
 
 def check_int(name: str, value: object, low: int | None = None,
@@ -288,23 +293,41 @@ def write_shards(config: DatasetConfig, out_dir: str | Path, workers: int = 1,
         "shards": shard_entries,
         "digest_sha256": overall.hexdigest(),
     }
+    manifest["manifest_sha256"] = manifest_digest(manifest)
     (out_path / "manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return manifest
 
 
+def manifest_digest(manifest: dict) -> str:
+    """sha256 of the manifest's canonical JSON (sorted keys, compact
+    separators), every key but manifest_sha256 itself."""
+    body = {key: value for key, value in manifest.items() if key != "manifest_sha256"}
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def load_manifest(dataset_dir: str | Path) -> dict:
+    """The dataset's manifest. Raises FileNotFoundError without one and
+    UnsupportedFormatError unless its format_version is FORMAT_VERSION."""
     path = Path(dataset_dir) / "manifest.json"
     if not path.exists():
         raise FileNotFoundError(f"no manifest.json in {dataset_dir}")
-    return json.loads(path.read_text(encoding="utf-8"))
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    found = manifest.get("format_version")
+    if found != FORMAT_VERSION:
+        raise UnsupportedFormatError(
+            f"{path} has format_version {found!r}; this version reads {FORMAT_VERSION} only")
+    return manifest
 
 
 def verify_digests(dataset_dir: str | Path, manifest: dict | None = None) -> None:
-    """Recompute all shard digests; raise DigestMismatchError on any
-    difference from the manifest."""
+    """Check the manifest against its own digest, then recompute all shard
+    digests; raise DigestMismatchError on any difference."""
     root = Path(dataset_dir)
     manifest = manifest if manifest is not None else load_manifest(root)
+    if manifest_digest(manifest) != manifest.get("manifest_sha256"):
+        raise DigestMismatchError("manifest digest mismatch")
     overall = hashlib.sha256()
     for entry in manifest["shards"]:
         iq_bytes = (root / f"{entry['name']}.iq").read_bytes()
@@ -379,8 +402,9 @@ def validate(dataset_dir: str | Path, sample: int = 20) -> list[CheckResult]:
     fails, as every later check reads those bytes), class-balance, replay
     of `sample` evenly spread examples, their Es/N0 within 0.2 dB of target
     (impaired) and envelope within 1e-6, the float32 rounding budget, of
-    constant (clean FSK). Raises ValueError if sample is negative and
-    FileNotFoundError if there is no manifest."""
+    constant (clean FSK). Raises ValueError if sample is negative,
+    FileNotFoundError if there is no manifest and UnsupportedFormatError
+    (a ValueError) if it is of another format version."""
     check_int("sample", sample, 0)
     manifest = load_manifest(dataset_dir)
     try:

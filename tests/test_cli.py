@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from sigforge.cli import build_parser, main
+from sigforge.dataset import FORMAT_VERSION, manifest_digest
 
 
 def run(argv):
@@ -181,6 +182,23 @@ def test_validate_detects_corruption(tmp_path, capsys):
 
 def test_validate_missing_dir(tmp_path, capsys):
     assert run(["validate", "--in", str(tmp_path / "nope")]) == 1
+
+
+def test_validate_and_inspect_refuse_a_format_1_dataset(tmp_path, capsys):
+    out = tmp_path / "ds"
+    assert run(["generate", "--variant", "impaired-val", "--count", "53",
+                "--seed", "2", "--out", str(out), "--frame-len", "128"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    manifest["format_version"] = 1
+    manifest["manifest_sha256"] = manifest_digest(manifest)
+    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    capsys.readouterr()
+    want = (f"error: {out / 'manifest.json'} has format_version 1; "
+            f"this version reads {FORMAT_VERSION} only\n")
+    assert run(["validate", "--in", str(out)]) == 2
+    assert capsys.readouterr() == ("", want)
+    assert run(["inspect", "--in", str(out), "--index", "0", "--meta"]) == 2
+    assert capsys.readouterr() == ("", want)
 
 
 def test_validate_rejects_negative_sample(clean_ds, capsys):

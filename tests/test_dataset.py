@@ -16,12 +16,14 @@ from sigforge.dataset import (
     CheckResult,
     DatasetConfig,
     DigestMismatchError,
+    UnsupportedFormatError,
     bytes_to_frames,
     frame_to_bytes,
     generate_example,
     generate_range,
     iter_range,
     load_manifest,
+    manifest_digest,
     meta_to_line,
     read,
     read_example,
@@ -313,10 +315,17 @@ def impaired_dir(tmp_path_factory):
     return target
 
 
+def rewrite_manifest(target, manifest):
+    """Write manifest as target's manifest.json under a fresh
+    manifest_sha256, so the digest check passes."""
+    manifest["manifest_sha256"] = manifest_digest(manifest)
+    (target / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+
+
 def tampered_copy(source, target, index, change):
     """Copy a dataset, apply change() to example index's meta dict and
-    re-digest only that shard's meta file, so the digest check passes (the
-    overall digest covers IQ only)."""
+    re-digest that shard's meta file and the manifest, so the digest check
+    passes (the overall digest covers IQ only)."""
     shutil.copytree(source, target)
     manifest = load_manifest(target)
     entry = next(e for e in manifest["shards"]
@@ -328,7 +337,7 @@ def tampered_copy(source, target, index, change):
     lines[index - entry["start_index"]] = meta_to_line(meta)
     meta_path.write_bytes(b"".join(lines))
     entry["meta_sha256"] = hashlib.sha256(meta_path.read_bytes()).hexdigest()
-    (target / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    rewrite_manifest(target, manifest)
     return target
 
 
@@ -371,17 +380,55 @@ def test_validate_fails_snr_on_a_shifted_target(impaired_dir, tmp_path):
 
 
 def test_validate_fails_balance_on_a_wrong_count(impaired_dir, tmp_path):
-    # the manifest's config echo is not digested, so the count is checked
-    # against the examples actually read
+    # past a re-digested manifest, the count is still checked against the
+    # examples actually read
     target = tmp_path / "ds"
     shutil.copytree(impaired_dir, target)
     manifest = load_manifest(target)
     manifest["config"]["examples_per_class"] = 2
-    (target / "manifest.json").write_text(json.dumps(manifest))
+    rewrite_manifest(target, manifest)
     results = validate(target, sample=4)
     assert results[1] == CheckResult("class-balance", False,
                                      "53 examples, 2 per class expected")
     assert verdicts(results)["replay"]
+
+
+def test_validate_fails_digest_on_an_edited_manifest(impaired_dir, tmp_path):
+    target = tmp_path / "ds"
+    shutil.copytree(impaired_dir, target)
+    manifest = load_manifest(target)
+    manifest["config"]["profile"]["resample_prob"] = 0.25
+    (target / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    with pytest.raises(DigestMismatchError, match="manifest digest mismatch"):
+        verify_digests(target)
+    assert validate(target) == [CheckResult("digest", False, "manifest digest mismatch")]
+
+
+def test_manifest_digest_covers_every_other_key(tmp_path):
+    manifest = write_shards(small_config(epc=1), tmp_path / "ds")
+    on_disk = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+    assert manifest["manifest_sha256"] == on_disk["manifest_sha256"] == manifest_digest(on_disk)
+    body = {k: v for k, v in manifest.items() if k != "manifest_sha256"}
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":")).encode()
+    assert manifest_digest(manifest) == hashlib.sha256(canonical).hexdigest()
+    for key in body:
+        edited = dict(manifest, **{key: None})
+        assert manifest_digest(edited) != manifest["manifest_sha256"], key
+
+
+def test_load_manifest_refuses_another_format_version(tmp_path):
+    write_shards(small_config(epc=1), tmp_path / "ds")
+    manifest = load_manifest(tmp_path / "ds")
+    for version in (1, FORMAT_VERSION + 1, None):
+        manifest["format_version"] = version
+        rewrite_manifest(tmp_path / "ds", manifest)
+        with pytest.raises(UnsupportedFormatError) as info:
+            load_manifest(tmp_path / "ds")
+        assert isinstance(info.value, ValueError)
+        assert f"format_version {version!r}" in str(info.value)
+        assert f"reads {FORMAT_VERSION} only" in str(info.value)
+        with pytest.raises(UnsupportedFormatError):
+            validate(tmp_path / "ds")
 
 
 def test_validate_stops_at_a_digest_failure(impaired_dir, tmp_path):

@@ -20,10 +20,31 @@ from sigforge.server import ServerDefaults, build_batch
 # digest_sha256 alone would not (it covers IQ only, so train and val
 # share it at equal seeds).
 MANIFEST_SHA256 = {
-    "clean-train": "ede2eaadc91f03aa90633efdcf8327dd7931a0eaa6d76d378bfd9ddce5e69f65",
-    "clean-val": "c6cb826b0d2733963b640eb9e65573c5be9aa03b241b941a21ba7fd0769dc410",
-    "impaired-train": "90f8acdf264e8a8b9b8bf597c49a8b09bcdaca02f411f65ebf5e532eef4c53a9",
-    "impaired-val": "a72d3c5ef64f0be65e8cb6cc60e722cf7dfb45db89d4cc99cefa72e67a3c7048",
+    "clean-train": "747e4e6ae4b9a08661a3456332ec4e6077aa2da10ec5ec18cfad6c5eae390d76",
+    "clean-val": "14c74d67db4428206e56e98338543dfdb2128103f3cb213c5a59fdf4426b0f71",
+    "impaired-train": "d4cfe10c4d3332401b2f0b8da7cf9096497b642a1e188e93d4e4e3292053cda2",
+    "impaired-val": "c9dfe55c88fe95167fc5ac842be8424d7e5eb47fe43a38c17045411179732a43",
+}
+
+# The shard digests of the same datasets that format 1 wrote too. Format 2
+# changed only the resampler, so only impaired IQ moved: clean shards keep
+# both digests, and impaired metadata holds no resampled sample. Train and
+# val store the same shards (the variant is in the manifest only).
+FORMAT_1_SHARD_SHA256 = {
+    "clean-train": {
+        "iq": "22dd7c9858167a2cd7d1d55746b4fb0af7d5c3b0780316f476e0022edcdc81de",
+        "meta": "f7fb56c6472262e34ebc2922dfa4558a3536ba130635bbe1c455cd6bd01db69f",
+    },
+    "clean-val": {
+        "iq": "22dd7c9858167a2cd7d1d55746b4fb0af7d5c3b0780316f476e0022edcdc81de",
+        "meta": "f7fb56c6472262e34ebc2922dfa4558a3536ba130635bbe1c455cd6bd01db69f",
+    },
+    "impaired-train": {
+        "meta": "ec9d1987b930cc8dec96239dced3957f4e0fdde45a8f1c7aa6b50687522ec1fb",
+    },
+    "impaired-val": {
+        "meta": "ec9d1987b930cc8dec96239dced3957f4e0fdde45a8f1c7aa6b50687522ec1fb",
+    },
 }
 
 # sha256 of `sigforge validate --sample 8` stdout over the same datasets:
@@ -37,7 +58,7 @@ VALIDATE_STDOUT_SHA256 = {
 }
 
 BATCH_REQUEST = {"seed": 7, "start_index": 0, "batch_size": 4, "frame_len": 256}
-BATCH_SHA256 = "435df01044d640a8128a99c8322df7d10ec8b17e964876a96ab17edb7af24bfd"
+BATCH_SHA256 = "d009faa032179cd6cdcf0c33dee720cb246282c9d747d765a2d41636a72a38db"
 BATCH_BYTES = 12518
 
 
@@ -48,6 +69,14 @@ def test_manifest_bytes_are_pinned(tmp_path, variant, workers):
     write_shards(config, tmp_path / "ds", workers=workers)
     raw = (tmp_path / "ds" / "manifest.json").read_bytes()
     assert hashlib.sha256(raw).hexdigest() == MANIFEST_SHA256[variant]
+
+
+@pytest.mark.parametrize("variant", sorted(FORMAT_1_SHARD_SHA256))
+def test_shard_digests_that_format_2_kept(tmp_path, variant):
+    config = DatasetConfig(variant, examples_per_class=1, dataset_seed=7)
+    [shard] = write_shards(config, tmp_path / "ds")["shards"]
+    kept = FORMAT_1_SHARD_SHA256[variant]
+    assert {kind: shard[f"{kind}_sha256"] for kind in kept} == kept
 
 
 @pytest.mark.parametrize("variant", sorted(VALIDATE_STDOUT_SHA256))
