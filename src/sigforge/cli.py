@@ -35,7 +35,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileExistsError as exc:
+    except OSError as exc:  # FileExistsError, an unusable --out, a failed write
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(manifest["digest_sha256"])
@@ -49,10 +49,18 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FileNotFoundError, IndexError) as exc:
+    except (OSError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    frame = frame32.astype(np.complex128)
+    try:
+        return _write_views(args, frame32.astype(np.complex128), meta)
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def _write_views(args: argparse.Namespace, frame: np.ndarray, meta: dict) -> int:
+    """The views inspect was asked for, of one stored example."""
     if args.meta:
         print(json.dumps(meta, sort_keys=True, indent=2))
     if args.psd:

@@ -14,16 +14,26 @@ and the RNG stream ``derive_stream(dataset_seed, index)``, so the on-disk
 bytes depend only on the config — not on worker count, scheduling, or
 platform (for equal float widths). Frames are computed in float64 and
 stored as float32; the determinism contract covers the stored values.
+
+write_shards cuts each shard into _TASK_SIZE-example tasks. A task writes
+its IQ into the shard file at the task's own offset and hands back only
+its metadata, which the parent appends in task order; the parent then
+reads that IQ back to hash it. Each shard is written under a ``.tmp``
+name and renamed once complete, and manifest.json is renamed into place
+last, so an interrupted run leaves no manifest and no final-named file
+that is incomplete.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import errno
 import functools
 import hashlib
 import json
 import multiprocessing
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -50,7 +60,7 @@ DEFAULT_SHARD_SIZE = 4096
 # frames make some classes fail to generate; at 64, every class of both
 # variants generated over 40 seeds.
 MIN_FRAME_LEN = 64
-# Examples per generate_range call in iter_range: small enough to keep
+# Examples per task of _task_ranges: small enough to keep
 # pool workers evenly loaded (a default 32-frame batch is 4 tasks) and to
 # stream a shard to disk rather than hold it in memory, large enough to
 # amortize a pool task's round trip.
@@ -107,6 +117,9 @@ class DatasetConfig:
         check_int("examples_per_class", self.examples_per_class, 1)
         check_int("dataset_seed", self.dataset_seed)
         check_int("frame_len", self.frame_len, MIN_FRAME_LEN)
+        if not isinstance(self.profile, ImpairmentProfile):
+            raise TypeError(f"profile must be an ImpairmentProfile, "
+                            f"got {type(self.profile).__name__}")
 
     @property
     def is_impaired(self) -> bool:
@@ -209,6 +222,14 @@ def generate_range(config: DatasetConfig, start: int, count: int) -> tuple[bytes
     return b"".join(iq_parts), b"".join(meta_parts)
 
 
+def _task_ranges(start: int, count: int) -> list[tuple[int, int]]:
+    """start .. start+count-1 as (first, n) sub-ranges of _TASK_SIZE
+    examples in index order: the unit of work of write_shards and of the
+    server's batches."""
+    return [(first, min(_TASK_SIZE, start + count - first))
+            for first in range(start, start + count, _TASK_SIZE)]
+
+
 def _generate_task(config: DatasetConfig, task: tuple[int, int]) -> tuple[bytes, bytes]:
     """generate_range for one (start, count) pair, the one argument that
     pool.imap passes."""
@@ -218,53 +239,107 @@ def _generate_task(config: DatasetConfig, task: tuple[int, int]) -> tuple[bytes,
 def iter_range(config: DatasetConfig, start: int, count: int,
                pool: multiprocessing.pool.Pool | None = None) -> Iterator[tuple[bytes, bytes]]:
     """generate_range(config, start, count) as the (IQ bytes, meta bytes)
-    of its _TASK_SIZE sub-ranges, in index order, so the parts concatenate
-    to generate_range's output. With a pool the sub-ranges run on its
-    workers; map and imap both yield in task order, so the bytes do not
-    depend on scheduling."""
-    tasks = [(first, min(_TASK_SIZE, start + count - first))
-             for first in range(start, start + count, _TASK_SIZE)]
+    of its _task_ranges sub-ranges, in index order, so the parts
+    concatenate to generate_range's output. With a pool the sub-ranges run
+    on its workers and their bytes come back through the pool's pipes;
+    map and imap both yield in task order, so the bytes do not depend on
+    scheduling. The server builds its batches this way; write_shards has
+    its tasks write IQ into the shard file instead."""
     generate = functools.partial(_generate_task, config)
+    tasks = _task_ranges(start, count)
     return map(generate, tasks) if pool is None else pool.imap(generate, tasks)
+
+
+def _write_task(config: DatasetConfig, iq_path: str, shard_start: int,
+                task: tuple[int, int]) -> bytes:
+    """Generate the (first, n) sub-range of the shard that starts at
+    shard_start, write its IQ into the existing file iq_path at the
+    sub-range's offset and return its meta bytes."""
+    first, count = task
+    iq_bytes, meta_bytes = generate_range(config, first, count)
+    view = memoryview(iq_bytes)
+    offset = (first - shard_start) * 8 * config.frame_len
+    fd = os.open(iq_path, os.O_WRONLY)
+    try:
+        while view:
+            written = os.pwrite(fd, view, offset)
+            view, offset = view[written:], offset + written
+    finally:
+        os.close(fd)
+    return meta_bytes
+
+
+def _pread_exact(fd: int, size: int, offset: int) -> bytes:
+    """size bytes of fd from offset. Raises OSError on a short read, so IQ
+    that never reached the file fails the write rather than being hashed
+    as a hole."""
+    data = os.pread(fd, size, offset)
+    if len(data) != size:
+        raise OSError(errno.EIO, f"read {len(data)} of {size} IQ bytes at offset {offset}")
+    return data
 
 
 def _shard_name(shard_index: int) -> str:
     return f"shard-{shard_index:05d}"
 
 
+def _tmp(path: Path) -> Path:
+    """Where path is written before it is renamed into place."""
+    return path.with_name(path.name + ".tmp")
+
+
 def write_shards(config: DatasetConfig, out_dir: str | Path, workers: int = 1,
                  force: bool = False, shard_size: int = DEFAULT_SHARD_SIZE) -> dict:
     """Generate the configured dataset into out_dir and return the manifest
     (also written as manifest.json). Refuses a non-empty directory unless
-    force is set; force first deletes the shard-*.iq, shard-*.meta.jsonl
-    and manifest.json files of an earlier run and leaves other files alone.
-    Bytes do not depend on workers, which must be >= 1."""
+    force is set; force first deletes the shard-*.iq, shard-*.meta.jsonl,
+    shard-*.tmp and manifest.json files of an earlier run and leaves other
+    files alone. Bytes do not depend on workers, which must be >= 1.
+
+    Each shard's _TASK_SIZE-example tasks run on a pool of `workers`
+    processes (inline at 1). A task writes its IQ straight into the shard
+    file and returns only its meta bytes; the parent takes the results in
+    task order, appends the meta and reads the task's IQ back to hash it,
+    so it holds one task's bytes at a time. Both shard files are written
+    under a .tmp name and renamed once complete, and manifest.json is
+    renamed into place last: a run that raises or is killed leaves no
+    manifest and no incomplete file under a final name."""
     check_int("workers", workers, 1)
     check_int("shard_size", shard_size, 1)
     out_path = Path(out_dir)
     if out_path.exists() and any(out_path.iterdir()) and not force:
         raise FileExistsError(f"{out_path} is not empty (pass force to overwrite)")
     out_path.mkdir(parents=True, exist_ok=True)
-    # a forced rewrite may write fewer shards than the run before it
+    manifest_path = out_path / "manifest.json"
+    # a forced rewrite may write fewer shards than the run before it, and
+    # an interrupted run leaves its unfinished files under .tmp names
     for stale in [*out_path.glob("shard-*.iq"), *out_path.glob("shard-*.meta.jsonl"),
-                  out_path / "manifest.json"]:
+                  *out_path.glob("shard-*.tmp"), manifest_path, _tmp(manifest_path)]:
         stale.unlink(missing_ok=True)
 
+    frame_bytes = 8 * config.frame_len
     overall = hashlib.sha256()
     shard_entries = []
     with multiprocessing.Pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
         for shard_index, start in enumerate(range(0, config.total_examples, shard_size)):
             count = min(shard_size, config.total_examples - start)
             name = _shard_name(shard_index)
+            iq_path, meta_path = out_path / f"{name}.iq", out_path / f"{name}.meta.jsonl"
             iq_sha256, meta_sha256 = hashlib.sha256(), hashlib.sha256()
-            with open(out_path / f"{name}.iq", "wb") as iq_file, \
-                    open(out_path / f"{name}.meta.jsonl", "wb") as meta_file:
-                for iq_bytes, meta_bytes in iter_range(config, start, count, pool):
-                    iq_file.write(iq_bytes)
+            tasks = _task_ranges(start, count)
+            write = functools.partial(_write_task, config, str(_tmp(iq_path)), start)
+            # the IQ file exists before the first task opens it by path
+            with open(_tmp(iq_path), "w+b") as iq_file, open(_tmp(meta_path), "wb") as meta_file:
+                results = map(write, tasks) if pool is None else pool.imap(write, tasks)
+                for (first, n), meta_bytes in zip(tasks, results):
                     meta_file.write(meta_bytes)
+                    iq_bytes = _pread_exact(iq_file.fileno(), n * frame_bytes,
+                                            (first - start) * frame_bytes)
                     iq_sha256.update(iq_bytes)
                     meta_sha256.update(meta_bytes)
                     overall.update(iq_bytes)
+            os.replace(_tmp(iq_path), iq_path)
+            os.replace(_tmp(meta_path), meta_path)
             shard_entries.append({
                 "name": name,
                 "start_index": start,
@@ -294,8 +369,9 @@ def write_shards(config: DatasetConfig, out_dir: str | Path, workers: int = 1,
         "digest_sha256": overall.hexdigest(),
     }
     manifest["manifest_sha256"] = manifest_digest(manifest)
-    (out_path / "manifest.json").write_text(
+    _tmp(manifest_path).write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    os.replace(_tmp(manifest_path), manifest_path)
     return manifest
 
 

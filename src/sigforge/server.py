@@ -27,12 +27,14 @@ of JSONL metadata.
 A batch is dataset.generate_range(config, start_index, batch_size) for
 the DatasetConfig the request describes, so example k of a batch is
 dataset example start_index+k of that variant and seed. BatchServer
-generates it on a process pool with one worker per usable CPU, in the
-sub-ranges dataset.iter_range cuts for write_shards. The response is a
-pure function of the request: identical requests get identical bytes no
-matter which client sends them, when, or which worker generates them. A
-malformed header draws an error frame and a close; a well-framed but
-invalid request draws an error frame and the connection stays usable.
+generates it on a process pool with one worker per usable CPU, through
+dataset.iter_range: the 8-example sub-ranges write_shards uses too, but
+with each sub-range's bytes sent back through the pool's pipes. The
+response is a pure function of the request: identical requests get
+identical bytes no matter which client sends them, when, or which worker
+generates them. A malformed header draws an error frame and a close; a
+well-framed but invalid request draws an error frame and the connection
+stays usable.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """End-user command flows, exercised through main(argv)."""
 
+import errno
 import json
 import os
 import subprocess
@@ -93,6 +94,32 @@ def test_generate_rejects_workers_below_one(tmp_path, capsys, workers):
     assert not out.exists()
 
 
+def test_generate_into_a_regular_file_is_an_error_line(tmp_path, capsys):
+    out = tmp_path / "file"
+    out.write_text("not a directory")
+    code = run(["generate", "--variant", "clean-val", "--count", "53",
+                "--seed", "6", "--out", str(out), "--frame-len", "64"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 20] Not a directory: '{out}'\n"
+    assert out.read_text() == "not a directory"
+
+
+def test_generate_reports_a_failed_write_as_an_error_line(tmp_path, capsys, monkeypatch):
+    def full_disk(fd, data, offset):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "pwrite", full_disk)
+    out = tmp_path / "ds"
+    code = run(["generate", "--variant", "clean-val", "--count", "53",
+                "--seed", "6", "--out", str(out), "--frame-len", "64", "--workers", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: [Errno 28] No space left on device\n"
+    assert not (out / "manifest.json").exists()
+
+
 def test_cli_and_server_import_no_scipy():
     """numpy is the only runtime dependency; scipy is a test oracle."""
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -148,6 +175,16 @@ def test_inspect_bad_index_or_dir(clean_ds, tmp_path, capsys):
                 "--meta"]) == 1
     assert run(["inspect", "--in", str(tmp_path / "void"), "--index", "0",
                 "--meta"]) == 1
+
+
+@pytest.mark.parametrize("flag", ["--psd", "--spec", "--constellation"])
+def test_inspect_into_a_missing_directory_is_an_error_line(impaired_ds, tmp_path, capsys, flag):
+    target = tmp_path / "missing" / "out"
+    code = run(["inspect", "--in", str(impaired_ds), "--index", "4", flag, str(target)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{target}'\n"
 
 
 def test_validate_clean_dataset(clean_ds, capsys):

@@ -1,12 +1,17 @@
 """Shard writing, manifests, digests, and replay-from-metadata."""
 
+import errno
 import hashlib
 import json
+import os
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sigforge import dataset as dataset_module
 from sigforge.dataset import (
     DEFAULT_SHARD_SIZE,
     FORMAT_VERSION,
@@ -32,6 +37,7 @@ from sigforge.dataset import (
     verify_digests,
     write_shards,
 )
+from sigforge.impairments import DEFAULT_PROFILE, NO_IMPAIRMENT_PROFILE, ImpairmentProfile
 from sigforge.registry import CLASS_LIST, NUM_CLASSES
 from sigforge.rng import derive_stream
 
@@ -63,6 +69,33 @@ def test_config_validation():
     assert small_config("impaired-val").is_impaired
     assert not small_config("clean-val").is_impaired
     assert small_config(epc=4).total_examples == 4 * 53
+
+
+_anything = (st.none() | st.booleans() | st.integers(-(2 ** 70), 2 ** 70) | st.floats()
+             | st.text(max_size=8) | st.binary(max_size=4)
+             | st.lists(st.integers(), max_size=2) | st.just(DEFAULT_PROFILE))
+
+
+@settings(max_examples=300, deadline=None)
+@given(variant=_anything | st.sampled_from(VARIANTS),
+       examples_per_class=_anything | st.integers(-2, 3),
+       dataset_seed=_anything,
+       frame_len=_anything | st.integers(MIN_FRAME_LEN - 2, MIN_FRAME_LEN + 2),
+       profile=_anything | st.just(NO_IMPAIRMENT_PROFILE))
+def test_config_constructs_or_raises_type_or_value_error(
+        variant, examples_per_class, dataset_seed, frame_len, profile):
+    try:
+        config = DatasetConfig(variant=variant, examples_per_class=examples_per_class,
+                               dataset_seed=dataset_seed, frame_len=frame_len,
+                               profile=profile)
+    except (TypeError, ValueError):
+        return
+    assert config.variant in VARIANTS
+    for value in (config.examples_per_class, config.dataset_seed, config.frame_len):
+        assert type(value) is int
+    assert config.examples_per_class >= 1 and config.frame_len >= MIN_FRAME_LEN
+    assert isinstance(config.profile, ImpairmentProfile)
+    assert config.total_examples == config.examples_per_class * NUM_CLASSES
 
 
 def test_reference_totals_documented():
@@ -305,6 +338,96 @@ def test_stored_replay_matches_float32_bytes(tmp_path):
 def test_write_shards_rejects_bad_shard_size(tmp_path):
     with pytest.raises(ValueError):
         write_shards(small_config(epc=1), tmp_path / "ds", shard_size=0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_interrupted_write_leaves_no_manifest_and_no_incomplete_shard(
+        tmp_path, monkeypatch, workers):
+    config = small_config(epc=1, frame_len=MIN_FRAME_LEN)
+    whole = write_shards(config, tmp_path / "whole", shard_size=20)
+    generate = dataset_module.generate_example
+
+    def fail_in_second_shard(index, *args):
+        if index == 30:  # the second task of shard 1 (examples 20..39)
+            raise RuntimeError("generation failed")
+        return generate(index, *args)
+
+    monkeypatch.setattr(dataset_module, "generate_example", fail_in_second_shard)
+    target = tmp_path / "ds"
+    with pytest.raises(RuntimeError, match="generation failed"):
+        write_shards(config, target, workers=workers, shard_size=20)
+    assert sorted(p.name for p in target.iterdir()) == [
+        "shard-00000.iq", "shard-00000.meta.jsonl",
+        "shard-00001.iq.tmp", "shard-00001.meta.jsonl.tmp"]
+    for name in ("shard-00000.iq", "shard-00000.meta.jsonl"):
+        assert (target / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+    monkeypatch.undo()
+    assert write_shards(config, target, workers=workers, force=True, shard_size=20) == whole
+    assert (sorted(p.name for p in target.iterdir())
+            == sorted(p.name for p in (tmp_path / "whole").iterdir()))
+
+
+def test_force_removes_the_tmp_files_of_an_interrupted_run(tmp_path):
+    target = tmp_path / "ds"
+    target.mkdir()
+    # names this rewrite does not write itself
+    for name in ("shard-00007.iq.tmp", "shard-00007.meta.jsonl.tmp", "manifest.json.tmp"):
+        (target / name).write_text("partial")
+    manifest = write_shards(small_config(epc=1), target, force=True)
+    assert sorted(p.name for p in target.iterdir()) == [
+        "manifest.json", "shard-00000.iq", "shard-00000.meta.jsonl"]
+    verify_digests(target, manifest)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_failed_iq_write_fails_the_run(tmp_path, monkeypatch, workers):
+    def full_disk(fd, data, offset):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "pwrite", full_disk)
+    target = tmp_path / "ds"
+    with pytest.raises(OSError) as raised:
+        write_shards(small_config(epc=1), target, workers=workers)
+    assert raised.value.errno == errno.ENOSPC
+    assert not (target / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_iq_that_never_reached_the_file_is_not_hashed(tmp_path, monkeypatch, workers):
+    # a write that claims success without writing leaves the shard short
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: len(data))
+    target = tmp_path / "ds"
+    with pytest.raises(OSError) as raised:
+        write_shards(small_config(epc=1), target, workers=workers)
+    assert raised.value.errno == errno.EIO
+    assert not (target / "manifest.json").exists()
+
+
+def test_short_iq_writes_are_completed(tmp_path, monkeypatch):
+    config = small_config("impaired-val", epc=1)
+    want = write_shards(config, tmp_path / "want", shard_size=20)
+    pwrite = os.pwrite
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: pwrite(fd, data[:1000], offset))
+    for workers in (1, 2):
+        assert write_shards(config, tmp_path / f"w{workers}", workers=workers,
+                            shard_size=20) == want
+
+
+def test_pread_exact_refuses_a_short_read(tmp_path):
+    path = tmp_path / "blob"
+    path.write_bytes(bytes(range(10)))
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        assert dataset_module._pread_exact(fd, 4, 6) == bytes(range(6, 10))
+        assert dataset_module._pread_exact(fd, 0, 10) == b""
+        for size, offset, got in ((5, 6, 4), (1, 10, 0), (11, 0, 10)):
+            with pytest.raises(OSError, match=f"read {got} of {size} IQ bytes at "
+                                              f"offset {offset}") as raised:
+                dataset_module._pread_exact(fd, size, offset)
+            assert raised.value.errno == errno.EIO
+    finally:
+        os.close(fd)
 
 
 @pytest.fixture(scope="module")

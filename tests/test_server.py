@@ -39,6 +39,7 @@ from sigforge.server import (
     MSG_RESPONSE,
     PROTOCOL_VERSION,
     BatchServer,
+    ProtocolError,
     RequestError,
     ServerDefaults,
     build_batch,
@@ -298,6 +299,32 @@ def test_build_batch_returns_or_raises_request_error(fields):
     header = json.loads(payload[:payload.index(b"\n")])
     assert header["count"] == fields["batch_size"]
     assert header["frame_len"] == fields["frame_len"]
+
+
+def _framed(message_type, length, body):
+    return HEADER.pack(MAGIC, PROTOCOL_VERSION, message_type, length) + body
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64)
+       | st.builds(lambda head, body: MAGIC + head + body,
+                   st.binary(min_size=2, max_size=2), st.binary(max_size=64))
+       | st.builds(_framed, st.integers(0, 255), st.integers(0, 80), st.binary(max_size=80))
+       | st.builds(_framed, st.integers(0, 255), st.integers(0, 2 ** 32 - 1),
+                   st.binary(max_size=16)))
+def test_read_frame_returns_a_frame_or_raises_a_framing_error(data):
+    reader, writer = socket.socketpair()
+    with reader, writer:
+        reader.settimeout(10.0)  # a hang fails the test rather than the run
+        writer.sendall(data)
+        writer.close()
+        try:
+            message_type, payload = read_frame(reader)
+        except (ProtocolError, ConnectionError):
+            return
+    magic, version, want_type, length = HEADER.unpack(data[:HEADER.size])
+    assert (magic, version) == (MAGIC, PROTOCOL_VERSION)
+    assert (message_type, payload) == (want_type, data[HEADER.size:HEADER.size + length])
 
 
 @pytest.mark.parametrize("bad", [
