@@ -20,43 +20,24 @@ from sigforge.server import ServerDefaults, serve
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.count % NUM_CLASSES != 0:
-        print(f"error: --count must be divisible by {NUM_CLASSES} "
-              f"(exact class balance), got {args.count}", file=sys.stderr)
-        return 2
-    try:
-        config = ds.DatasetConfig(
-            variant=args.variant,
-            examples_per_class=args.count // NUM_CLASSES,
-            dataset_seed=args.seed,
-            frame_len=args.frame_len,
-        )
-        # write_shards checks workers >= 1 before it writes anything
-        manifest = ds.write_shards(config, args.out, workers=args.workers, force=args.force)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # FileExistsError, an unusable --out, a failed write
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"--count must be divisible by {NUM_CLASSES} "
+                         f"(exact class balance), got {args.count}")
+    config = ds.DatasetConfig(
+        variant=args.variant,
+        examples_per_class=args.count // NUM_CLASSES,
+        dataset_seed=args.seed,
+        frame_len=args.frame_len,
+    )
+    # write_shards checks workers >= 1 before it writes anything
+    manifest = ds.write_shards(config, args.out, workers=args.workers, force=args.force)
     print(manifest["digest_sha256"])
     return 0
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    try:
-        manifest = ds.load_manifest(args.in_dir)
-        frame32, meta = ds.read_example(args.in_dir, args.index, manifest)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, IndexError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return _write_views(args, frame32.astype(np.complex128), meta)
-    except OSError as exc:  # an output path that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    manifest = ds.load_manifest(args.in_dir)
+    frame32, meta = ds.read_example(args.in_dir, args.index, manifest)
+    return _write_views(args, frame32.astype(np.complex128), meta)
 
 
 def _write_views(args: argparse.Namespace, frame: np.ndarray, meta: dict) -> int:
@@ -83,14 +64,7 @@ def _write_views(args: argparse.Namespace, frame: np.ndarray, meta: dict) -> int
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    try:
-        results = ds.validate(args.in_dir, args.sample)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    results = ds.validate(args.in_dir, args.sample)
     for result in results:
         suffix = f"  ({result.detail})" if result.detail else ""
         print(f"{result.name}: {'PASS' if result.ok else 'FAIL'}{suffix}")
@@ -98,12 +72,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    try:
-        defaults = ServerDefaults(variant=args.variant, seed=args.seed,
-                                  frame_len=args.frame_len, batch_size=args.batch_size)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    defaults = ServerDefaults(variant=args.variant, seed=args.seed,
+                              frame_len=args.frame_len, batch_size=args.batch_size)
     print(f"serving on {args.host}:{args.port}", flush=True)
     # SIGTERM shuts down as Ctrl-C does: socket closed, pool terminated, exit 0
     signal.signal(signal.SIGTERM, signal.default_int_handler)
@@ -164,7 +134,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # a bad argument, a dataset of another format
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (OSError, IndexError) as exc:  # an unusable path, an index past the end
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -42,7 +42,7 @@ import numpy as np
 
 from sigforge import measurement
 from sigforge.clean import gen_clean
-from sigforge.frame import FRAME_LEN
+from sigforge.frame import FRAME_LEN, check_int
 from sigforge.impairments import (
     DEFAULT_PROFILE,
     ImpairmentProfile,
@@ -92,17 +92,6 @@ class UnsupportedFormatError(ValueError):
     """A manifest's format_version is not the one this version reads."""
 
 
-def check_int(name: str, value: object, low: int | None = None,
-              high: int | None = None) -> None:
-    """Raise TypeError unless value is an int (bool, float and str are
-    refused, not coerced), ValueError unless low <= value <= high."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
-    if (low is not None and value < low) or (high is not None and value > high):
-        bounds = f"[{low}, {high}]" if high is not None else f">= {low}"
-        raise ValueError(f"{name} must be {bounds}, got {value}")
-
-
 @dataclass(frozen=True)
 class DatasetConfig:
     variant: str
@@ -120,6 +109,9 @@ class DatasetConfig:
         if not isinstance(self.profile, ImpairmentProfile):
             raise TypeError(f"profile must be an ImpairmentProfile, "
                             f"got {type(self.profile).__name__}")
+        if self.profile.time_shift_max >= self.frame_len:
+            raise ValueError(f"profile.time_shift_max must be < frame_len, "
+                             f"got {self.profile.time_shift_max} >= {self.frame_len}")
 
     @property
     def is_impaired(self) -> bool:

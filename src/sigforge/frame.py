@@ -15,6 +15,17 @@ class ZeroPowerError(ValueError):
     """Raised when an operation needs signal power and the frame has none."""
 
 
+def check_int(name: str, value: object, low: int | None = None,
+              high: int | None = None) -> None:
+    """Raise TypeError unless value is an int (bool, float and str are
+    refused, not coerced), ValueError unless low <= value <= high."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
+    if (low is not None and value < low) or (high is not None and value > high):
+        bounds = f"[{low}, {high}]" if high is not None else f">= {low}"
+        raise ValueError(f"{name} must be {bounds}, got {value}")
+
+
 def as_frame(x) -> np.ndarray:
     """Coerce to a 1-D complex128 array, rejecting non-finite samples."""
     frame = np.asarray(x, dtype=np.complex128)

@@ -23,7 +23,7 @@ import numpy as np
 
 from sigforge.clean import gen_clean
 from sigforge.filters import convolve_same, lowpass_taps
-from sigforge.frame import FRAME_LEN, mean_power, normalize_unit_power
+from sigforge.frame import FRAME_LEN, check_int, mean_power, normalize_unit_power
 from sigforge.fsk import fsk_spec, gen_fsk
 from sigforge.linear import gen_linear_mod
 from sigforge.registry import SignalDescriptor, class_by_index
@@ -63,6 +63,28 @@ def _design_resample_bank() -> np.ndarray:
 _RESAMPLE_BANK = _design_resample_bank()
 _FSK_LPF_NUM_TAPS = 129
 _FSK_LPF_TRANSITION = 0.028  # cycles/sample at 129 taps
+_PROBABILITIES = ("phase_shift_prob", "time_shift_prob", "freq_shift_prob",
+                  "rayleigh_prob", "iq_imbalance_prob", "resample_prob")
+_RANGES = ("phase_range", "freq_range", "rayleigh_taps_range", "iq_amp_range_db",
+           "iq_phase_range", "iq_dc_range", "resample_range", "esn0_range_db")
+
+
+def _check_real(name: str, value: object) -> None:
+    """Raise TypeError unless value is an int or a float (bool and str are
+    refused, not coerced)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+
+
+def _check_range(name: str, pair: object) -> None:
+    """Raise TypeError unless pair is a (low, high) tuple of real numbers,
+    ValueError unless both are finite and low <= high."""
+    if not isinstance(pair, tuple) or len(pair) != 2:
+        raise TypeError(f"{name} must be a (low, high) tuple, got {pair!r}")
+    for value in pair:
+        _check_real(name, value)
+    if not -math.inf < pair[0] <= pair[1] < math.inf:
+        raise ValueError(f"{name} must be finite and ordered, got {pair!r}")
 
 
 @dataclass(frozen=True)
@@ -84,6 +106,29 @@ class ImpairmentProfile:
     resample_prob: float = 0.5
     resample_range: tuple[float, float] = (0.75, 1.5)
     esn0_range_db: tuple[float, float] = (-2.0, 30.0)
+
+    def __post_init__(self) -> None:
+        """Raise TypeError for a field of the wrong type and ValueError for
+        one outside what its stage accepts, so a bad profile fails here
+        rather than at the first impaired example. esn0_range_db may also
+        be (inf, inf): no noise stage."""
+        for name in _PROBABILITIES:
+            prob = getattr(self, name)
+            _check_real(name, prob)
+            if not 0 <= prob <= 1:
+                raise ValueError(f"{name} must be in [0, 1], got {prob!r}")
+        check_int("time_shift_max", self.time_shift_max, 0)
+        for name in _RANGES:
+            pair = getattr(self, name)
+            if name != "esn0_range_db" or pair != (math.inf, math.inf):
+                _check_range(name, pair)
+        for num_taps in self.rayleigh_taps_range:
+            check_int("rayleigh_taps_range", num_taps, 1, 20)
+        if not -0.5 < self.freq_range[0] <= self.freq_range[1] < 0.5:
+            raise ValueError(f"freq_range must lie within (-0.5, 0.5), got {self.freq_range!r}")
+        if not 0.75 <= self.resample_range[0] <= self.resample_range[1] <= 1.5:
+            raise ValueError(f"resample_range must lie within [0.75, 1.5], "
+                             f"got {self.resample_range!r}")
 
 
 DEFAULT_PROFILE = ImpairmentProfile()
@@ -165,12 +210,6 @@ def draw_rayleigh_taps(num_taps: int, rng: RngStream) -> np.ndarray:
 def fir_channel(frame: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Causal same-length convolution (tap 0 aligned with sample 0)."""
     return np.convolve(frame, taps)[: len(frame)]
-
-
-def rayleigh_channel(frame: np.ndarray, num_taps: int, rng: RngStream) -> np.ndarray:
-    """Static frequency-selective fade. The profile draws 2..20 taps;
-    a single tap degenerates to a complex scale (used by tests)."""
-    return fir_channel(frame, draw_rayleigh_taps(num_taps, rng))
 
 
 def iq_imbalance(frame: np.ndarray, amplitude_db: float, phase_rad: float,
@@ -351,6 +390,8 @@ def draw_impairment_plan(profile: ImpairmentProfile, rng: RngStream
 
 
 def _apply_step(frame: np.ndarray, step: ImpairmentStep) -> np.ndarray:
+    """One recorded step other than AWGN, which replay_with_pre_noise
+    applies itself."""
     p = step.params
     if step.kind == "phase_shift":
         return phase_shift(frame, p["phi"])
@@ -365,43 +406,35 @@ def _apply_step(frame: np.ndarray, step: ImpairmentStep) -> np.ndarray:
         return iq_imbalance(frame, p["amplitude_db"], p["phase_rad"], p["dc_offset"])
     if step.kind == "resample":
         return random_resample(frame, p["rate"])
-    if step.kind == "awgn":
-        return _add_recorded_noise(normalize_unit_power(frame), p)
     raise ValueError(f"unknown impairment step kind {step.kind!r}")
-
-
-def _add_recorded_noise(signal: np.ndarray, params: dict) -> np.ndarray:
-    stream = RngStream(params["noise_key"], params["noise_counter"])
-    return add_awgn(signal, params["esn0_db"], params["samples_per_symbol"], stream)
-
-
-def replay_impairments(clean: np.ndarray, record: ImpairmentRecord) -> np.ndarray:
-    """Re-run a recorded chain on the same clean frame, bit-exactly."""
-    return replay_with_pre_noise(clean, record)[0]
 
 
 def replay_with_pre_noise(clean: np.ndarray, record: ImpairmentRecord
                           ) -> tuple[np.ndarray, np.ndarray]:
-    """(replay_impairments(clean, record), pre_noise_frame(clean, record))
-    from one pass over the recorded steps."""
+    """Re-run a recorded chain on the same clean frame, bit-exactly.
+    Returns (impaired frame, pre-noise frame): the second is the unit-power
+    frame as it entered the AWGN stage, or the normalised output when the
+    record has none."""
     frame, signal = clean, None
     for step in record.steps:
-        if step.kind == "awgn" and signal is None:
+        if step.kind == "awgn":
+            p = step.params
             signal = normalize_unit_power(frame)
-            frame = _add_recorded_noise(signal, step.params)
+            frame = add_awgn(signal, p["esn0_db"], p["samples_per_symbol"],
+                             RngStream(p["noise_key"], p["noise_counter"]))
         else:
             frame = _apply_step(frame, step)
-    return frame, signal if signal is not None else normalize_unit_power(frame)
+    return frame, normalize_unit_power(frame) if signal is None else signal
+
+
+def replay_impairments(clean: np.ndarray, record: ImpairmentRecord) -> np.ndarray:
+    """The impaired frame of replay_with_pre_noise."""
+    return replay_with_pre_noise(clean, record)[0]
 
 
 def pre_noise_frame(clean: np.ndarray, record: ImpairmentRecord) -> np.ndarray:
-    """The unit-power frame as it entered the AWGN stage (oracle hook)."""
-    frame = clean
-    for step in record.steps:
-        if step.kind == "awgn":
-            return normalize_unit_power(frame)
-        frame = _apply_step(frame, step)
-    return normalize_unit_power(frame)
+    """The pre-noise frame of replay_with_pre_noise (oracle hook)."""
+    return replay_with_pre_noise(clean, record)[1]
 
 
 def apply_impairment_chain(clean: np.ndarray, descriptor: SignalDescriptor,
@@ -411,18 +444,16 @@ def apply_impairment_chain(clean: np.ndarray, descriptor: SignalDescriptor,
     returned record, including the noise stream snapshot, so
     ``replay_impairments(clean, record)`` reproduces the frame exactly.
     The frame is re-normalized to unit power right before the noise
-    stage so the drawn Es/N0 target is exact at the output."""
+    stage so the drawn Es/N0 target is exact at the output; an infinite
+    target adds no noise stage."""
     steps, esn0 = draw_impairment_plan(profile, rng)
-    if math.isinf(esn0) and esn0 > 0:
-        record = ImpairmentRecord(steps=tuple(steps), target_esn0_db=esn0)
-        return replay_impairments(clean, record), record
-    steps.append(ImpairmentStep("awgn", {
-        "esn0_db": esn0,
-        "samples_per_symbol": descriptor.samples_per_symbol,
-        "noise_key": rng.key,
-        "noise_counter": rng.counter,
-    }))
+    if math.isfinite(esn0):
+        steps.append(ImpairmentStep("awgn", {
+            "esn0_db": esn0,
+            "samples_per_symbol": descriptor.samples_per_symbol,
+            "noise_key": rng.key,
+            "noise_counter": rng.counter,
+        }))
+        rng.counter += 2 * len(clean)  # the noise draws, made from that snapshot
     record = ImpairmentRecord(steps=tuple(steps), target_esn0_db=esn0)
-    impaired = replay_impairments(clean, record)
-    rng.counter += 2 * len(clean)  # account for the noise draws
-    return impaired, record
+    return replay_impairments(clean, record), record

@@ -11,13 +11,14 @@ Request payload is a JSON object; unset fields fall back to the server's
 defaults: {"batch_size": int (1..4096), "variant": str, "seed": int,
 "start_index": int (>= 0), "frame_len": int (>= dataset.MIN_FRAME_LEN)},
 and a batch holds at most MAX_BATCH_SAMPLES = 4096 * 4096 samples
-(batch_size * frame_len). Integer fields take JSON integers only:
-booleans, floats and strings are rejected, not coerced. Requests are
-capped at 1 MiB; responses are not. Waiting for the first byte of a
-request is not limited, as trainers hold connections open between
-batches, but a connection that then goes _FRAME_TIMEOUT_S without a byte
-before its request frame is complete, or without taking a byte of its
-reply, is closed.
+(batch_size * frame_len). Any other field is rejected, so a mistyped
+name does not silently fall back to a default. Integer fields take JSON
+integers only: booleans, floats and strings are rejected, not coerced.
+Requests are capped at 1 MiB; responses are not. Waiting for the first
+byte of a request is not limited, as trainers hold connections open
+between batches, but a connection that then goes _FRAME_TIMEOUT_S
+without a byte before its request frame is complete, or without taking
+a byte of its reply, is closed.
 
 Response payload is a JSON header line — {"count", "frame_len",
 "dtype": "f32le-interleaved", "meta_bytes"} — terminated by "\n", then
@@ -61,6 +62,7 @@ MAX_BATCH = 4096
 # size for frame length but not ask for more samples than this
 MAX_BATCH_SAMPLES = MAX_BATCH * FRAME_LEN
 _MAX_REQUEST_BYTES = 1 << 20
+_REQUEST_FIELDS = ("batch_size", "variant", "seed", "start_index", "frame_len")
 # longest silence allowed partway through a request frame, and the
 # longest a reply may wait for the peer to take its next chunk
 _FRAME_TIMEOUT_S = 30.0
@@ -137,7 +139,12 @@ def build_batch(request: dict, defaults: "ServerDefaults",
                 pool: multiprocessing.pool.Pool | None = None) -> bytes:
     """Generate the response payload for a request dict, on the pool's
     workers if one is given, else in this process; the bytes are the same.
-    Raises RequestError if a field has the wrong type or is out of range."""
+    Raises RequestError if a field is unknown, has the wrong type or is out
+    of range."""
+    unknown = sorted(set(request) - set(_REQUEST_FIELDS))
+    if unknown:
+        raise RequestError(f"unknown request field(s) {', '.join(map(repr, unknown))}; "
+                           f"expected any of {', '.join(_REQUEST_FIELDS)}")
     batch_size = request.get("batch_size", defaults.batch_size)
     start_index = request.get("start_index", 0)
     try:

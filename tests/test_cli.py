@@ -3,6 +3,7 @@
 import errno
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -264,3 +265,18 @@ def test_serve_rejects_bad_defaults_before_listening(capsys):
     captured = capsys.readouterr()
     assert "frame_len" in captured.err
     assert "serving on" not in captured.out
+
+
+def test_serve_on_a_port_in_use_is_an_error_line():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        result = subprocess.run(
+            [sys.executable, "-m", "sigforge.cli", "serve", "--port", str(port)],
+            env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "Address already in use" in result.stderr

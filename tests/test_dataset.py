@@ -98,6 +98,21 @@ def test_config_constructs_or_raises_type_or_value_error(
     assert config.total_examples == config.examples_per_class * NUM_CLASSES
 
 
+def test_a_bad_profile_fails_at_construction():
+    # before, both constructed and failed only at the first impaired example
+    with pytest.raises(TypeError, match="phase_shift_prob"):
+        DatasetConfig("impaired-train", 1, 0, 64, ImpairmentProfile(phase_shift_prob="x"))
+    with pytest.raises(ValueError, match="resample_range"):
+        ImpairmentProfile(resample_prob=1.0, resample_range=(0.0, 0.0))
+    # a time shift must leave part of the frame
+    with pytest.raises(ValueError, match="time_shift_max"):
+        DatasetConfig("impaired-val", 1, 0, 64, ImpairmentProfile(time_shift_max=64))
+    shifted = ImpairmentProfile(time_shift_prob=1.0, time_shift_max=63)
+    config = DatasetConfig("impaired-val", 1, 0, 64, shifted)
+    iq, _meta = generate_range(config, 0, 4)
+    assert len(iq) == 4 * 64 * 8
+
+
 def test_reference_totals_documented():
     # published-scale counts; the round 1M figure is not 53-divisible,
     # desk-scale generation balances exactly instead

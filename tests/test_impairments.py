@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigforge.dataset import MIN_FRAME_LEN
 from sigforge.impairments import (
@@ -13,7 +15,6 @@ from sigforge.impairments import (
     ImpairmentProfile,
     ImpairmentRecord,
     ImpairmentStep,
-    _apply_step,
     _resample,
     add_awgn,
     apply_impairment_chain,
@@ -320,6 +321,89 @@ def test_no_impairment_profile_is_identity():
     assert rng.counter == 6  # the six gate draws, nothing else
 
 
+_PROBABILITIES = ("phase_shift_prob", "time_shift_prob", "freq_shift_prob",
+                  "rayleigh_prob", "iq_imbalance_prob", "resample_prob")
+_RANGES = ("phase_range", "freq_range", "rayleigh_taps_range", "iq_amp_range_db",
+           "iq_phase_range", "iq_dc_range", "resample_range", "esn0_range_db")
+ALWAYS_ON = dict.fromkeys(_PROBABILITIES, 1.0)
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("phase_shift_prob", "x", TypeError),
+    ("phase_shift_prob", True, TypeError),
+    ("phase_shift_prob", None, TypeError),
+    ("resample_prob", 1.5, ValueError),
+    ("rayleigh_prob", -0.1, ValueError),
+    ("iq_imbalance_prob", math.nan, ValueError),
+    ("time_shift_max", -1, ValueError),
+    ("time_shift_max", 3.0, TypeError),
+    ("phase_range", [-1.0, 1.0], TypeError),
+    ("phase_range", (0.0,), TypeError),
+    ("phase_range", (0.0, "1"), TypeError),
+    ("phase_range", (0.0, math.inf), ValueError),
+    ("iq_dc_range", (0.1, -0.1), ValueError),
+    ("iq_amp_range_db", (math.nan, 1.0), ValueError),
+    ("freq_range", (-0.5, 0.1), ValueError),
+    ("freq_range", (-0.1, 0.5), ValueError),
+    ("rayleigh_taps_range", (0, 20), ValueError),
+    ("rayleigh_taps_range", (2, 21), ValueError),
+    ("rayleigh_taps_range", (2.0, 20), TypeError),
+    ("rayleigh_taps_range", (5, 2), ValueError),
+    ("resample_range", (0.0, 0.0), ValueError),
+    ("resample_range", (0.75, 1.6), ValueError),
+    ("resample_range", (1.5, 0.75), ValueError),
+    ("esn0_range_db", (-math.inf, -math.inf), ValueError),
+    ("esn0_range_db", (10.0, math.inf), ValueError),
+    ("esn0_range_db", (30.0, -2.0), ValueError),
+])
+def test_profile_refuses_a_bad_field(field, value, error):
+    with pytest.raises(error, match=field):
+        ImpairmentProfile(**{field: value})
+
+
+def test_profile_at_its_bounds_runs_the_chain():
+    profile = ImpairmentProfile(
+        **ALWAYS_ON, time_shift_max=MIN_FRAME_LEN - 1,
+        freq_range=(math.nextafter(-0.5, 0.0), math.nextafter(0.5, 0.0)),
+        rayleigh_taps_range=(1, 20), resample_range=(0.75, 1.5), esn0_range_db=(5.0, 5.0))
+    for i in range(20):
+        clean, desc, _ = synthesize_impaired_source(i, derive_stream(30, i), MIN_FRAME_LEN)
+        impaired, record = apply_impairment_chain(clean, desc, profile, derive_stream(31, i))
+        assert len(impaired) == MIN_FRAME_LEN and record.target_esn0_db == 5.0
+
+
+_junk = (st.none() | st.booleans() | st.text(max_size=3) | st.floats()
+         | st.integers(-(2 ** 70), 2 ** 70) | st.lists(st.floats(-2, 2), max_size=3))
+_real = (st.integers(-25, 25) | st.floats(-2.0, 2.0)
+         | st.sampled_from([-0.5, 0.5, 0.75, 1.5, math.inf, -math.inf, math.nan]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fixed_dictionaries({}, optional={
+    **{name: _junk | st.floats(-0.5, 1.5) for name in _PROBABILITIES},
+    "time_shift_max": _junk | st.integers(-2, 40),
+    **{name: _junk | st.tuples(_real, _real) | st.tuples(_real) for name in _RANGES},
+}))
+def test_profile_constructs_or_raises_type_or_value_error(fields):
+    try:
+        profile = ImpairmentProfile(**fields)
+    except (TypeError, ValueError):
+        return
+    for name in _PROBABILITIES:
+        prob = getattr(profile, name)
+        assert type(prob) in (int, float) and 0 <= prob <= 1
+    assert type(profile.time_shift_max) is int and profile.time_shift_max >= 0
+    for name in _RANGES:
+        lo, hi = getattr(profile, name)
+        assert type(lo) in (int, float) and type(hi) in (int, float)
+        if name != "esn0_range_db" or lo != math.inf:
+            assert math.isfinite(lo) and lo <= hi and math.isfinite(hi)
+    assert profile.esn0_range_db[1] != math.inf or profile.esn0_range_db[0] == math.inf
+    assert -0.5 < profile.freq_range[0] and profile.freq_range[1] < 0.5
+    assert all(type(t) is int and 1 <= t <= 20 for t in profile.rayleigh_taps_range)
+    assert 0.75 <= profile.resample_range[0] and profile.resample_range[1] <= 1.5
+
+
 def test_always_on_profile_emits_all_steps_in_order():
     profile = ImpairmentProfile(
         phase_shift_prob=1.0, time_shift_prob=1.0, freq_shift_prob=1.0,
@@ -383,9 +467,10 @@ def test_replay_with_pre_noise_is_one_pass_of_both(profile):
     for i in range(8):
         clean, desc, _ = synthesize_impaired_source(i * 7 % 53, derive_stream(22, i))
         impaired, record = apply_impairment_chain(clean, desc, profile, derive_stream(23, i))
-        reference = clean  # the step-by-step replay loop
+        reference = clean  # one single-step record at a time
         for step in record.steps:
-            reference = _apply_step(reference, step)
+            reference = replay_impairments(
+                reference, ImpairmentRecord((step,), record.target_esn0_db))
         frame, signal = replay_with_pre_noise(clean, record)
         np.testing.assert_array_equal(frame, impaired)
         np.testing.assert_array_equal(frame, reference)
@@ -438,6 +523,16 @@ def test_chain_advances_rng_deterministically():
     np.testing.assert_array_equal(a1, b1)
     np.testing.assert_array_equal(a2, b2)
     assert r1 != r2
+
+
+def test_chain_advances_rng_past_its_noise_draws():
+    # the next draw from the stream must not reuse a word the noise drew
+    clean, desc, _ = synthesize_impaired_source(3, derive_stream(21, 0))
+    rng = derive_stream(21, 1)
+    _, record = apply_impairment_chain(clean, desc, DEFAULT_PROFILE, rng)
+    awgn = record.steps[-1]
+    assert awgn.kind == "awgn"
+    assert rng.counter == awgn.params["noise_counter"] + 2 * len(clean)
 
 
 def test_unknown_step_kind_rejected():

@@ -169,6 +169,19 @@ def test_bad_request_keeps_connection_alive(server):
         assert message_type == MSG_RESPONSE
 
 
+def test_unknown_field_draws_an_error_and_keeps_the_connection(server):
+    with socket.create_connection(("127.0.0.1", server.port)) as sock:
+        # a mistyped batch_size must not serve the default batch
+        sock.sendall(pack_frame(MSG_REQUEST, json.dumps({"batchsize": 64}).encode()))
+        message_type, payload = read_frame(sock)
+        assert message_type == MSG_ERROR
+        assert "'batchsize'" in json.loads(payload)["error"]
+        sock.sendall(pack_frame(MSG_REQUEST,
+                                json.dumps({"batch_size": 1, "frame_len": 64}).encode()))
+        message_type, payload = read_frame(sock)
+        assert message_type == MSG_RESPONSE
+
+
 @pytest.mark.parametrize("request_blob", [
     b"not json at all",
     b"[1,2,3]",
@@ -242,6 +255,10 @@ def test_build_batch_validation():
         build_batch({"frame_len": MIN_FRAME_LEN - 1}, defaults)
     with pytest.raises(RequestError):
         build_batch({"start_index": -3}, defaults)
+    with pytest.raises(RequestError, match="unknown request field.*'batchsize'"):
+        build_batch({"batchsize": 64}, defaults)
+    with pytest.raises(RequestError, match="'count', 'x'"):
+        build_batch({"batch_size": 1, "frame_len": MIN_FRAME_LEN, "x": 0, "count": 1}, defaults)
     # wrong types are request errors, not coerced and not crashes
     for field, value in [("seed", [1]), ("batch_size", "abc"), ("frame_len", 1.5),
                          ("frame_len", 256.0), ("batch_size", True),
