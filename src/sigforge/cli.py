@@ -15,7 +15,7 @@ from sigforge import measurement
 from sigforge.frame import FRAME_LEN
 from sigforge.linear import matched_filter_symbols
 from sigforge.registry import NUM_CLASSES, class_by_index
-from sigforge.server import ServerDefaults, serve
+from sigforge.server import BatchServer, ServerDefaults
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -74,11 +74,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     defaults = ServerDefaults(variant=args.variant, seed=args.seed,
                               frame_len=args.frame_len, batch_size=args.batch_size)
-    print(f"serving on {args.host}:{args.port}", flush=True)
     # SIGTERM shuts down as Ctrl-C does: socket closed, pool terminated, exit 0
     signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
-        serve(args.host, args.port, defaults)
+        with BatchServer((args.host, args.port), defaults) as server:
+            # announced once bound, with the port the system chose for --port 0
+            print(f"serving on {args.host}:{server.port}", flush=True)
+            server.serve_forever()
     except KeyboardInterrupt:
         pass
     return 0

@@ -92,6 +92,10 @@ class UnsupportedFormatError(ValueError):
     """A manifest's format_version is not the one this version reads."""
 
 
+class ManifestError(ValueError):
+    """manifest.json lacks what every reader of a dataset uses."""
+
+
 @dataclass(frozen=True)
 class DatasetConfig:
     variant: str
@@ -186,13 +190,12 @@ def frame_to_bytes(frame: np.ndarray) -> bytes:
 
 def bytes_to_frames(raw: bytes, frame_len: int) -> np.ndarray:
     """Inverse of frame_to_bytes over a whole shard: [n_frames, frame_len]
-    complex64."""
+    complex64, a writable copy."""
     flat = np.frombuffer(raw, dtype="<f4")
     if flat.size % (2 * frame_len) != 0:
         raise ValueError(f"shard size {flat.size} floats is not a multiple "
                          f"of frame length {frame_len}")
-    pairs = flat.reshape(-1, frame_len, 2)
-    return (pairs[..., 0] + 1j * pairs[..., 1]).astype(np.complex64)
+    return flat.view("<c8").reshape(-1, frame_len).astype(np.complex64)
 
 
 def meta_to_line(meta: dict) -> bytes:
@@ -376,43 +379,65 @@ def manifest_digest(manifest: dict) -> str:
 
 
 def load_manifest(dataset_dir: str | Path) -> dict:
-    """The dataset's manifest. Raises FileNotFoundError without one and
-    UnsupportedFormatError unless its format_version is FORMAT_VERSION."""
+    """The dataset's manifest. Raises FileNotFoundError without one,
+    UnsupportedFormatError unless its format_version is FORMAT_VERSION and
+    ManifestError unless it is a JSON object with what readers use before
+    any digest check: integer config.frame_len, config.examples_per_class
+    and num_examples, and a shards list."""
     path = Path(dataset_dir) / "manifest.json"
     if not path.exists():
         raise FileNotFoundError(f"no manifest.json in {dataset_dir}")
     manifest = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(manifest, dict):
+        raise ManifestError(f"{path} is not a JSON object")
     found = manifest.get("format_version")
     if found != FORMAT_VERSION:
         raise UnsupportedFormatError(
             f"{path} has format_version {found!r}; this version reads {FORMAT_VERSION} only")
+    config = manifest.get("config")
+    if not (isinstance(config, dict) and isinstance(manifest.get("shards"), list)
+            and all(isinstance(value, int) for value in (
+                config.get("frame_len"), config.get("examples_per_class"),
+                manifest.get("num_examples")))):
+        raise ManifestError(f"{path} lacks an integer config.frame_len, "
+                            f"config.examples_per_class or num_examples, or a shards list")
     return manifest
+
+
+def _shards(root: str | Path, manifest: dict, verify: bool) -> Iterator[tuple[dict, bytes, bytes]]:
+    """(entry, IQ bytes, meta bytes) of each shard, each file read once.
+    With verify, raises DigestMismatchError where a digest differs: the
+    manifest's first, a shard's before it is yielded, the overall last."""
+    if verify and manifest_digest(manifest) != manifest.get("manifest_sha256"):
+        raise DigestMismatchError("manifest digest mismatch")
+    overall = hashlib.sha256()
+    for entry in manifest["shards"]:
+        iq_bytes = Path(root, f"{entry['name']}.iq").read_bytes()
+        meta_bytes = Path(root, f"{entry['name']}.meta.jsonl").read_bytes()
+        if verify:
+            overall.update(iq_bytes)
+            if hashlib.sha256(iq_bytes).hexdigest() != entry["iq_sha256"]:
+                raise DigestMismatchError(f"{entry['name']}.iq digest mismatch")
+            if hashlib.sha256(meta_bytes).hexdigest() != entry["meta_sha256"]:
+                raise DigestMismatchError(f"{entry['name']}.meta.jsonl digest mismatch")
+        yield entry, iq_bytes, meta_bytes
+    if verify and overall.hexdigest() != manifest["digest_sha256"]:
+        raise DigestMismatchError("overall digest mismatch")
 
 
 def verify_digests(dataset_dir: str | Path, manifest: dict | None = None) -> None:
     """Check the manifest against its own digest, then recompute all shard
     digests; raise DigestMismatchError on any difference."""
-    root = Path(dataset_dir)
-    manifest = manifest if manifest is not None else load_manifest(root)
-    if manifest_digest(manifest) != manifest.get("manifest_sha256"):
-        raise DigestMismatchError("manifest digest mismatch")
-    overall = hashlib.sha256()
-    for entry in manifest["shards"]:
-        iq_bytes = (root / f"{entry['name']}.iq").read_bytes()
-        meta_bytes = (root / f"{entry['name']}.meta.jsonl").read_bytes()
-        overall.update(iq_bytes)
-        if hashlib.sha256(iq_bytes).hexdigest() != entry["iq_sha256"]:
-            raise DigestMismatchError(f"{entry['name']}.iq digest mismatch")
-        if hashlib.sha256(meta_bytes).hexdigest() != entry["meta_sha256"]:
-            raise DigestMismatchError(f"{entry['name']}.meta.jsonl digest mismatch")
-    if overall.hexdigest() != manifest["digest_sha256"]:
-        raise DigestMismatchError("overall digest mismatch")
+    manifest = manifest if manifest is not None else load_manifest(dataset_dir)
+    for _shard in _shards(dataset_dir, manifest, verify=True):
+        pass
 
 
 def read_example(dataset_dir: str | Path, index: int,
                  manifest: dict | None = None) -> tuple[np.ndarray, dict]:
     """Fetch one (complex64 frame, meta) by example index, touching only
-    the shard that holds it."""
+    the shard that holds it. Raises OSError if the shard holds less IQ
+    than the manifest says."""
     root = Path(dataset_dir)
     manifest = manifest if manifest is not None else load_manifest(root)
     frame_len = manifest["config"]["frame_len"]
@@ -421,8 +446,8 @@ def read_example(dataset_dir: str | Path, index: int,
         if 0 <= offset < entry["count"]:
             bytes_per_frame = 8 * frame_len
             with open(root / f"{entry['name']}.iq", "rb") as fh:
-                fh.seek(offset * bytes_per_frame)
-                frame = bytes_to_frames(fh.read(bytes_per_frame), frame_len)[0]
+                raw = _pread_exact(fh.fileno(), bytes_per_frame, offset * bytes_per_frame)
+            frame = bytes_to_frames(raw, frame_len)[0]
             with open(root / f"{entry['name']}.meta.jsonl", "r", encoding="utf-8") as fh:
                 for line_no, line in enumerate(fh):
                     if line_no == offset:
@@ -432,22 +457,21 @@ def read_example(dataset_dir: str | Path, index: int,
                      f"(dataset has {manifest['num_examples']})")
 
 
+def _examples(root: str | Path, manifest: dict, verify: bool) -> Iterator[tuple[np.ndarray, dict]]:
+    """(complex64 frame, meta) in index order, from one _shards pass."""
+    for entry, iq_bytes, meta_bytes in _shards(root, manifest, verify):
+        frames = bytes_to_frames(iq_bytes, manifest["config"]["frame_len"])
+        metas = [json.loads(line) for line in meta_bytes.decode("utf-8").splitlines()]
+        if len(metas) != len(frames):
+            raise ValueError(f"{entry['name']}: {len(frames)} frames but {len(metas)} meta lines")
+        yield from zip(frames, metas)
+
+
 def read(dataset_dir: str | Path, validate_digest: bool = False
          ) -> Iterator[tuple[np.ndarray, dict]]:
-    """Yield (complex64 frame, meta) in index order."""
-    root = Path(dataset_dir)
-    manifest = load_manifest(root)
-    if validate_digest:
-        verify_digests(root, manifest)
-    frame_len = manifest["config"]["frame_len"]
-    for entry in manifest["shards"]:
-        frames = bytes_to_frames((root / f"{entry['name']}.iq").read_bytes(), frame_len)
-        with open(root / f"{entry['name']}.meta.jsonl", "r", encoding="utf-8") as fh:
-            metas = [json.loads(line) for line in fh]
-        if len(metas) != len(frames):
-            raise ValueError(f"{entry['name']}: {len(frames)} frames but "
-                             f"{len(metas)} meta lines")
-        yield from zip(frames, metas)
+    """Yield (complex64 frame, meta) in index order; with validate_digest,
+    only from verified shards, raising DigestMismatchError as _shards does."""
+    yield from _examples(dataset_dir, load_manifest(dataset_dir), validate_digest)
 
 
 @dataclass(frozen=True)
@@ -466,39 +490,36 @@ def _sample_indices(total: int, want: int) -> list[int]:
 
 
 def validate(dataset_dir: str | Path, sample: int = 20) -> list[CheckResult]:
-    """Check a dataset in one read pass: digest (the only result if it
-    fails, as every later check reads those bytes), class-balance, replay
-    of `sample` evenly spread examples, their Es/N0 within 0.2 dB of target
-    (impaired) and envelope within 1e-6, the float32 rounding budget, of
-    constant (clean FSK). Raises ValueError if sample is negative,
-    FileNotFoundError if there is no manifest and UnsupportedFormatError
-    (a ValueError) if it is of another format version."""
+    """Check a dataset in one read pass over verified bytes: digest (the
+    only result if it fails, as every later check reads those bytes),
+    class-balance, replay of `sample` evenly spread examples, their Es/N0
+    within 0.2 dB of target (impaired) and envelope within 1e-6, the
+    float32 rounding budget, of constant (clean FSK). Raises ValueError if
+    sample is negative or the manifest is of another format or malformed
+    (UnsupportedFormatError, ManifestError), FileNotFoundError without one."""
     check_int("sample", sample, 0)
     manifest = load_manifest(dataset_dir)
-    try:
-        verify_digests(dataset_dir, manifest)
-    except (DigestMismatchError, FileNotFoundError) as exc:
-        return [CheckResult("digest", False, str(exc))]
-
-    frame_len = manifest["config"]["frame_len"]
     expected = manifest["config"]["examples_per_class"]
     sampled = set(_sample_indices(manifest["num_examples"], sample))
     in_order, replay_ok, position = True, True, 0
     snr_errors, envelopes = [], []
-    for frame32, meta in read(dataset_dir):
-        if meta["index"] != position or meta["class_index"] != position % NUM_CLASSES:
-            in_order = False
-        if position in sampled:
-            frame, signal, record = _replay(meta, frame_len)
-            replay_ok = replay_ok and frame_to_bytes(frame) == frame32.tobytes()
-            awgn = next((s for s in record.steps if s.kind == "awgn"), None) if record else None
-            if awgn is not None:
-                measured = measurement.measure_esn0(
-                    signal, frame - signal, awgn.params["samples_per_symbol"])
-                snr_errors.append(abs(measured - record.target_esn0_db))
-            elif record is None and meta["family"] == "fsk":
-                envelopes.append(measurement.envelope_constancy(frame32.astype(np.complex128)))
-        position += 1
+    try:
+        for frame32, meta in _examples(dataset_dir, manifest, verify=True):
+            if meta["index"] != position or meta["class_index"] != position % NUM_CLASSES:
+                in_order = False
+            if position in sampled:
+                frame, signal, record = _replay(meta, manifest["config"]["frame_len"])
+                replay_ok = replay_ok and frame_to_bytes(frame) == frame32.tobytes()
+                awgn = record and next((s for s in record.steps if s.kind == "awgn"), None)
+                if awgn is not None:
+                    measured = measurement.measure_esn0(
+                        signal, frame - signal, awgn.params["samples_per_symbol"])
+                    snr_errors.append(abs(measured - record.target_esn0_db))
+                elif record is None and meta["family"] == "fsk":
+                    envelopes.append(measurement.envelope_constancy(frame32.astype(np.complex128)))
+            position += 1
+    except (DigestMismatchError, FileNotFoundError) as exc:
+        return [CheckResult("digest", False, str(exc))]
 
     # with example i of class i mod 53 throughout, balance is a matter of count
     balanced = in_order and position == manifest["num_examples"] == expected * NUM_CLASSES

@@ -67,6 +67,11 @@ _PROBABILITIES = ("phase_shift_prob", "time_shift_prob", "freq_shift_prob",
                   "rayleigh_prob", "iq_imbalance_prob", "resample_prob")
 _RANGES = ("phase_range", "freq_range", "rayleigh_taps_range", "iq_amp_range_db",
            "iq_phase_range", "iq_dc_range", "resample_range", "esn0_range_db")
+# Limits on |value| for the ranges whose stages overflow on large finite
+# values (10 ** (a / 40), 10 ** (-esn0 / 10), the DC offset's power): 40 dB
+# is an I/Q amplitude ratio of 100, 10 a DC offset ten times a unit-power
+# frame's RMS, and 100 dB Es/N0 lies far past any useful noise level.
+_SYMMETRIC_BOUNDS = {"iq_amp_range_db": 40.0, "iq_dc_range": 10.0, "esn0_range_db": 100.0}
 
 
 def _check_real(name: str, value: object) -> None:
@@ -78,13 +83,16 @@ def _check_real(name: str, value: object) -> None:
 
 def _check_range(name: str, pair: object) -> None:
     """Raise TypeError unless pair is a (low, high) tuple of real numbers,
-    ValueError unless both are finite and low <= high."""
+    ValueError unless both are finite, low <= high and high - low is
+    finite, so a uniform draw from the range is finite too."""
     if not isinstance(pair, tuple) or len(pair) != 2:
         raise TypeError(f"{name} must be a (low, high) tuple, got {pair!r}")
     for value in pair:
         _check_real(name, value)
     if not -math.inf < pair[0] <= pair[1] < math.inf:
         raise ValueError(f"{name} must be finite and ordered, got {pair!r}")
+    if math.isinf(pair[1] - pair[0]):
+        raise ValueError(f"{name} must have a finite width, got {pair!r}")
 
 
 @dataclass(frozen=True)
@@ -129,6 +137,10 @@ class ImpairmentProfile:
         if not 0.75 <= self.resample_range[0] <= self.resample_range[1] <= 1.5:
             raise ValueError(f"resample_range must lie within [0.75, 1.5], "
                              f"got {self.resample_range!r}")
+        for name, limit in _SYMMETRIC_BOUNDS.items():
+            pair = getattr(self, name)
+            if pair != (math.inf, math.inf) and not -limit <= pair[0] <= pair[1] <= limit:
+                raise ValueError(f"{name} must lie within [{-limit}, {limit}], got {pair!r}")
 
 
 DEFAULT_PROFILE = ImpairmentProfile()

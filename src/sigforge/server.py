@@ -255,14 +255,10 @@ class BatchServer(socketserver.ThreadingTCPServer):
             self.pool.join()
 
 
-def serve(host: str, port: int, defaults: ServerDefaults | None = None) -> None:
-    """Run until interrupted; the pool is gone once this returns or raises."""
-    with BatchServer((host, port), defaults) as server:
-        server.serve_forever()
-
-
 def request_batch(host: str, port: int, **fields) -> tuple[dict, bytes, bytes]:
-    """Client helper: one request, returns (header, iq bytes, meta bytes)."""
+    """Client helper: one request, returns (header, iq bytes, meta bytes).
+    Raises RequestError for an error frame and ProtocolError for a reply
+    without a JSON header line or whose body is not the size it gives."""
     with socket.create_connection((host, port)) as sock:
         sock.sendall(pack_frame(MSG_REQUEST, json.dumps(fields).encode("utf-8")))
         message_type, payload = read_frame(sock)
@@ -270,10 +266,15 @@ def request_batch(host: str, port: int, **fields) -> tuple[dict, bytes, bytes]:
         raise RequestError(json.loads(payload.decode("utf-8"))["error"])
     if message_type != MSG_RESPONSE:
         raise ProtocolError(f"unexpected message type {message_type}")
-    newline = payload.index(b"\n")
-    header = json.loads(payload[:newline].decode("utf-8"))
-    body = payload[newline + 1:]
-    iq_len = header["count"] * header["frame_len"] * 8
-    iq = body[:iq_len]
-    meta = body[iq_len:iq_len + header["meta_bytes"]]
-    return header, iq, meta
+    head, newline, body = payload.partition(b"\n")
+    if not newline:
+        raise ProtocolError("response has no header line")
+    try:
+        header = json.loads(head.decode("utf-8"))
+        iq_len = header["count"] * header["frame_len"] * 8
+        size = iq_len + header["meta_bytes"]
+    except (ValueError, KeyError, TypeError) as exc:  # not UTF-8, not JSON, not a header
+        raise ProtocolError(f"bad response header: {exc!r}") from exc
+    if len(body) != size:
+        raise ProtocolError(f"response body is {len(body)} bytes, its header gives {size}")
+    return header, body[:iq_len], body[iq_len:]

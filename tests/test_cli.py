@@ -3,6 +3,9 @@
 import errno
 import json
 import os
+import select
+import shutil
+import signal
 import socket
 import subprocess
 import sys
@@ -13,6 +16,7 @@ import pytest
 
 from sigforge.cli import build_parser, main
 from sigforge.dataset import FORMAT_VERSION, manifest_digest
+from sigforge.server import request_batch
 
 
 def run(argv):
@@ -239,6 +243,29 @@ def test_validate_and_inspect_refuse_a_format_1_dataset(tmp_path, capsys):
     assert capsys.readouterr() == ("", want)
 
 
+@pytest.mark.parametrize("text", ["[]", '{"format_version": 2}'])
+def test_validate_and_inspect_refuse_a_malformed_manifest(tmp_path, capsys, text):
+    (tmp_path / "manifest.json").write_text(text)
+    for argv in (["validate", "--in", str(tmp_path)],
+                 ["inspect", "--in", str(tmp_path), "--index", "0", "--meta"]):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {tmp_path / 'manifest.json'} ")
+        assert captured.err.count("\n") == 1
+
+
+def test_inspect_of_a_truncated_shard_is_an_error_line(clean_ds, tmp_path, capsys):
+    target = tmp_path / "ds"
+    shutil.copytree(clean_ds, target)
+    os.truncate(target / "shard-00000.iq", 8 * 256 * 40 + 100)
+    assert run(["inspect", "--in", str(target), "--index", "40", "--meta"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: [Errno {errno.EIO}] read 100 of 2048 IQ bytes "
+                            f"at offset {8 * 256 * 40}\n")
+
+
 def test_validate_rejects_negative_sample(clean_ds, capsys):
     assert run(["validate", "--in", str(clean_ds), "--sample", "-1"]) == 2
     captured = capsys.readouterr()
@@ -280,3 +307,25 @@ def test_serve_on_a_port_in_use_is_an_error_line():
     assert result.returncode == 1
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
     assert "Address already in use" in result.stderr
+    assert "serving on" not in result.stdout
+
+
+def test_serve_on_port_0_announces_the_port_it_bound():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen([sys.executable, "-m", "sigforge.cli", "serve", "--port", "0"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        assert select.select([proc.stdout], [], [], 60)[0], "no announcement within 60 s"
+        line = proc.stdout.readline()
+        assert line.startswith("serving on 127.0.0.1:"), line
+        header, iq, _meta = request_batch("127.0.0.1", int(line.rsplit(":", 1)[1]),
+                                          batch_size=1, frame_len=64)
+        assert header["count"] == 1 and len(iq) == 8 * 64
+        proc.send_signal(signal.SIGTERM)
+        proc.wait(timeout=20)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 0

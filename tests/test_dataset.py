@@ -1,7 +1,11 @@
 """Shard writing, manifests, digests, and replay-from-metadata."""
 
+import builtins
+import collections
 import errno
 import hashlib
+import io
+import itertools
 import json
 import os
 import shutil
@@ -21,6 +25,7 @@ from sigforge.dataset import (
     CheckResult,
     DatasetConfig,
     DigestMismatchError,
+    ManifestError,
     UnsupportedFormatError,
     bytes_to_frames,
     frame_to_bytes,
@@ -567,6 +572,83 @@ def test_load_manifest_refuses_another_format_version(tmp_path):
         assert f"reads {FORMAT_VERSION} only" in str(info.value)
         with pytest.raises(UnsupportedFormatError):
             validate(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m.pop("config"),
+    lambda m: m.pop("shards"),
+    lambda m: m.pop("num_examples"),
+    lambda m: m["config"].pop("frame_len"),
+    lambda m: m["config"].pop("examples_per_class"),
+    lambda m: m.update(config=[]),
+    lambda m: m.update(shards={}),
+    lambda m: m.update(num_examples="53"),
+    lambda m: m["config"].update(frame_len=None),
+])
+def test_load_manifest_refuses_a_manifest_without_what_readers_use(impaired_dir, tmp_path, edit):
+    target = tmp_path / "ds"
+    shutil.copytree(impaired_dir, target)
+    manifest = load_manifest(target)
+    edit(manifest)
+    rewrite_manifest(target, manifest)
+    for reader in (load_manifest, validate, lambda d: read_example(d, 0), lambda d: list(read(d))):
+        with pytest.raises(ManifestError, match="lacks"):
+            reader(target)
+
+
+@pytest.mark.parametrize("text", ["[]", '"manifest"', "2", "null"])
+def test_load_manifest_refuses_json_that_is_not_an_object(tmp_path, text):
+    (tmp_path / "manifest.json").write_text(text)
+    with pytest.raises(ManifestError, match="is not a JSON object"):
+        load_manifest(tmp_path)
+
+
+def test_validate_and_a_verified_read_read_each_shard_file_once(impaired_dir, monkeypatch):
+    opened = collections.Counter()
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened[os.path.basename(file)] += 1
+        return real_open(file, *args, **kwargs)
+    # builtins.open is io.open; pathlib's read_bytes calls io.open
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    shard_files = sorted(path.name for path in impaired_dir.glob("shard-*"))
+    assert len(shard_files) == 6
+    for run in (lambda: validate(impaired_dir, sample=53),
+                lambda: list(read(impaired_dir, validate_digest=True))):
+        opened.clear()
+        run()
+        assert {name: opened[name] for name in shard_files} == dict.fromkeys(shard_files, 1)
+
+
+def test_a_verified_read_yields_only_shards_whose_digests_match(impaired_dir, tmp_path):
+    target = tmp_path / "ds"
+    shutil.copytree(impaired_dir, target)
+    iq_path = target / "shard-00001.iq"
+    blob = bytearray(iq_path.read_bytes())
+    blob[7] ^= 0x01
+    iq_path.write_bytes(bytes(blob))
+    examples = read(target, validate_digest=True)
+    assert [meta["index"] for _frame, meta in itertools.islice(examples, 20)] == list(range(20))
+    with pytest.raises(DigestMismatchError, match="shard-00001.iq digest mismatch"):
+        next(examples)
+
+
+def test_the_overall_digest_is_checked_after_the_last_shard(impaired_dir, tmp_path):
+    target = tmp_path / "ds"
+    shutil.copytree(impaired_dir, target)
+    manifest = load_manifest(target)
+    manifest["digest_sha256"] = hashlib.sha256(b"other").hexdigest()
+    rewrite_manifest(target, manifest)
+    with pytest.raises(DigestMismatchError, match="overall digest mismatch"):
+        verify_digests(target)
+    assert validate(target) == [CheckResult("digest", False, "overall digest mismatch")]
+    examples = read(target, validate_digest=True)
+    assert len(list(itertools.islice(examples, 53))) == 53
+    with pytest.raises(DigestMismatchError, match="overall digest mismatch"):
+        next(examples)
 
 
 def test_validate_stops_at_a_digest_failure(impaired_dir, tmp_path):

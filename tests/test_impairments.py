@@ -355,6 +355,15 @@ ALWAYS_ON = dict.fromkeys(_PROBABILITIES, 1.0)
     ("esn0_range_db", (-math.inf, -math.inf), ValueError),
     ("esn0_range_db", (10.0, math.inf), ValueError),
     ("esn0_range_db", (30.0, -2.0), ValueError),
+    # finite values whose stage overflowed at the first impaired example
+    ("phase_range", (-1e308, 1e308), ValueError),
+    ("iq_amp_range_db", (2e4, 2e4), ValueError),
+    ("iq_amp_range_db", (-40.5, 0.0), ValueError),
+    ("iq_dc_range", (1e200, 1e200), ValueError),
+    ("iq_dc_range", (0.0, 10.5), ValueError),
+    ("esn0_range_db", (-1e300, -1e300), ValueError),
+    ("esn0_range_db", (-1e308, 1e308), ValueError),
+    ("esn0_range_db", (0.0, 100.5), ValueError),
 ])
 def test_profile_refuses_a_bad_field(field, value, error):
     with pytest.raises(error, match=field):
@@ -362,20 +371,23 @@ def test_profile_refuses_a_bad_field(field, value, error):
 
 
 def test_profile_at_its_bounds_runs_the_chain():
-    profile = ImpairmentProfile(
-        **ALWAYS_ON, time_shift_max=MIN_FRAME_LEN - 1,
-        freq_range=(math.nextafter(-0.5, 0.0), math.nextafter(0.5, 0.0)),
-        rayleigh_taps_range=(1, 20), resample_range=(0.75, 1.5), esn0_range_db=(5.0, 5.0))
-    for i in range(20):
-        clean, desc, _ = synthesize_impaired_source(i, derive_stream(30, i), MIN_FRAME_LEN)
-        impaired, record = apply_impairment_chain(clean, desc, profile, derive_stream(31, i))
-        assert len(impaired) == MIN_FRAME_LEN and record.target_esn0_db == 5.0
+    for esn0 in (-100.0, 5.0, 100.0):
+        profile = ImpairmentProfile(
+            **ALWAYS_ON, time_shift_max=MIN_FRAME_LEN - 1, phase_range=(-1e307, 1e307),
+            freq_range=(math.nextafter(-0.5, 0.0), math.nextafter(0.5, 0.0)),
+            rayleigh_taps_range=(1, 20), iq_amp_range_db=(-40.0, 40.0),
+            iq_dc_range=(-10.0, 10.0), resample_range=(0.75, 1.5), esn0_range_db=(esn0, esn0))
+        for i in range(20):
+            clean, desc, _ = synthesize_impaired_source(i, derive_stream(30, i), MIN_FRAME_LEN)
+            impaired, record = apply_impairment_chain(clean, desc, profile, derive_stream(31, i))
+            assert len(impaired) == MIN_FRAME_LEN and record.target_esn0_db == esn0
+            assert np.all(np.isfinite(impaired))
 
 
 _junk = (st.none() | st.booleans() | st.text(max_size=3) | st.floats()
          | st.integers(-(2 ** 70), 2 ** 70) | st.lists(st.floats(-2, 2), max_size=3))
 _real = (st.integers(-25, 25) | st.floats(-2.0, 2.0)
-         | st.sampled_from([-0.5, 0.5, 0.75, 1.5, math.inf, -math.inf, math.nan]))
+         | st.sampled_from([-0.5, 0.5, 0.75, 1.5, 1e308, -1e308, math.inf, -math.inf, math.nan]))
 
 
 @settings(max_examples=300, deadline=None)
@@ -397,7 +409,10 @@ def test_profile_constructs_or_raises_type_or_value_error(fields):
         lo, hi = getattr(profile, name)
         assert type(lo) in (int, float) and type(hi) in (int, float)
         if name != "esn0_range_db" or lo != math.inf:
-            assert math.isfinite(lo) and lo <= hi and math.isfinite(hi)
+            assert math.isfinite(lo) and lo <= hi and math.isfinite(hi - lo)
+    for name, limit in {"iq_amp_range_db": 40, "iq_dc_range": 10, "esn0_range_db": 100}.items():
+        lo, hi = getattr(profile, name)
+        assert (lo, hi) == (math.inf, math.inf) or -limit <= lo <= hi <= limit
     assert profile.esn0_range_db[1] != math.inf or profile.esn0_range_db[0] == math.inf
     assert -0.5 < profile.freq_range[0] and profile.freq_range[1] < 0.5
     assert all(type(t) is int and 1 <= t <= 20 for t in profile.rayleigh_taps_range)

@@ -1,5 +1,6 @@
-"""The benchmark under perfbench/ imports library names that no tier-1
-test would otherwise miss, since pytest's testpaths leave perfbench/ out."""
+"""The benchmark under perfbench/ imports library names and runs library
+paths that no tier-1 test would otherwise miss, since pytest's testpaths
+leave perfbench/ out."""
 
 import subprocess
 import sys
@@ -17,3 +18,11 @@ def test_the_benchmark_imports_against_this_library():
         [sys.executable, "-c", code, str(ROOT / "src"), str(ROOT / "perfbench")],
         capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_the_benchmark_self_check_passes():
+    # tiny runs of every workload through the library in src/, plus the
+    # benchmark's own gates (verify_digests, read, the server's replies)
+    result = subprocess.run([sys.executable, str(ROOT / "perfbench" / "run.py"), "--self-check"],
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr

@@ -374,6 +374,45 @@ def test_request_batch_reads_default_sized_batch(server):
     assert payload[newline + 1:] == iq + meta
 
 
+def _answer_once(payload):
+    """A one-shot server on a local port that answers one request frame
+    with a response frame holding payload; returns (port, its thread)."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def answer():
+        with listener, listener.accept()[0] as conn:
+            read_frame(conn)
+            conn.sendall(pack_frame(MSG_RESPONSE, payload))
+    thread = threading.Thread(target=answer, daemon=True)
+    thread.start()
+    return listener.getsockname()[1], thread
+
+
+_HEAD = b'{"count":1,"dtype":"f32le-interleaved","frame_len":64,"meta_bytes":3}\n'
+
+
+@pytest.mark.parametrize("payload", [
+    _HEAD + bytes(511) + b"{}\n",
+    _HEAD + bytes(512) + b"{}",
+    _HEAD + bytes(512) + b"{}\n{",
+    _HEAD + bytes(4),
+    bytes(512),
+    b'{"count":0,"dtype":"f32le-interleaved","frame_len":64,"meta_bytes":0}',
+    b"not json\n" + bytes(515),
+    b"\xff\n" + bytes(515),
+    b"[64]\n" + bytes(515),
+    b'{"count":1,"frame_len":64}\n' + bytes(515),
+    b'{"count":"1","frame_len":64,"meta_bytes":3}\n' + bytes(515),
+], ids=["short-iq", "short-meta", "long", "truncated", "no-header-line", "unterminated-header",
+        "not-json", "not-utf8", "not-an-object", "no-meta-bytes", "string-count"])
+def test_request_batch_refuses_a_reply_of_the_wrong_size_or_header(payload):
+    port, thread = _answer_once(payload)
+    with pytest.raises(ProtocolError):
+        request_batch("127.0.0.1", port)
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
 def test_request_batch_raises_on_error(server):
     with pytest.raises(RequestError):
         request_batch("127.0.0.1", server.port, variant="bogus")
