@@ -9,6 +9,13 @@ A dataset is a directory of fixed-size shards plus a manifest:
                              frame-major, no header
     shard-NNNNN.meta.jsonl   one JSON object per example, same order
 
+The shard layout is a function of num_examples alone: shard k is named
+shard-{k:05d} and holds examples DEFAULT_SHARD_SIZE*k up to
+min(DEFAULT_SHARD_SIZE*(k+1), num_examples). The manifest's shard table
+records it, and load_manifest refuses a table that differs from it, so
+readers take names and offsets from the layout, never from the table,
+and read_example finds an example's shard by one division.
+
 Generation is deterministic: example ``index`` gets class ``index mod 53``
 and the RNG stream ``derive_stream(dataset_seed, index)``, so the on-disk
 bytes depend only on the config — not on worker count, scheduling, or
@@ -31,6 +38,7 @@ import dataclasses
 import errno
 import functools
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
@@ -60,7 +68,7 @@ DEFAULT_SHARD_SIZE = 4096
 # frames make some classes fail to generate; at 64, every class of both
 # variants generated over 40 seeds.
 MIN_FRAME_LEN = 64
-# Examples per task of _task_ranges: small enough to keep
+# Examples per task of write_shards and iter_range: small enough to keep
 # pool workers evenly loaded (a default 32-frame batch is 4 tasks) and to
 # stream a shard to disk rather than hold it in memory, large enough to
 # amortize a pool task's round trip.
@@ -217,12 +225,20 @@ def generate_range(config: DatasetConfig, start: int, count: int) -> tuple[bytes
     return b"".join(iq_parts), b"".join(meta_parts)
 
 
-def _task_ranges(start: int, count: int) -> list[tuple[int, int]]:
-    """start .. start+count-1 as (first, n) sub-ranges of _TASK_SIZE
-    examples in index order: the unit of work of write_shards and of the
-    server's batches."""
-    return [(first, min(_TASK_SIZE, start + count - first))
-            for first in range(start, start + count, _TASK_SIZE)]
+def _ranges(start: int, count: int, size: int) -> list[tuple[int, int]]:
+    """start .. start+count-1 as (first, n) sub-ranges of size examples in
+    index order, the last one shorter: the shards of a dataset, and the
+    tasks of a shard and of a server batch."""
+    return [(first, min(size, start + count - first))
+            for first in range(start, start + count, size)]
+
+
+def _layout(num_examples: int) -> list[dict]:
+    """The name, start_index and count of each shard of a dataset of
+    num_examples: the one layout every dataset has, as its manifest's
+    shard table records it."""
+    return [{"name": _shard_name(k), "start_index": first, "count": count}
+            for k, (first, count) in enumerate(_ranges(0, num_examples, DEFAULT_SHARD_SIZE))]
 
 
 def _generate_task(config: DatasetConfig, task: tuple[int, int]) -> tuple[bytes, bytes]:
@@ -234,14 +250,14 @@ def _generate_task(config: DatasetConfig, task: tuple[int, int]) -> tuple[bytes,
 def iter_range(config: DatasetConfig, start: int, count: int,
                pool: multiprocessing.pool.Pool | None = None) -> Iterator[tuple[bytes, bytes]]:
     """generate_range(config, start, count) as the (IQ bytes, meta bytes)
-    of its _task_ranges sub-ranges, in index order, so the parts
+    of its _TASK_SIZE-example sub-ranges, in index order, so the parts
     concatenate to generate_range's output. With a pool the sub-ranges run
     on its workers and their bytes come back through the pool's pipes;
     map and imap both yield in task order, so the bytes do not depend on
     scheduling. The server builds its batches this way; write_shards has
     its tasks write IQ into the shard file instead."""
     generate = functools.partial(_generate_task, config)
-    tasks = _task_ranges(start, count)
+    tasks = _ranges(start, count, _TASK_SIZE)
     return map(generate, tasks) if pool is None else pool.imap(generate, tasks)
 
 
@@ -284,23 +300,25 @@ def _tmp(path: Path) -> Path:
 
 
 def write_shards(config: DatasetConfig, out_dir: str | Path, workers: int = 1,
-                 force: bool = False, shard_size: int = DEFAULT_SHARD_SIZE) -> dict:
+                 force: bool = False) -> dict:
     """Generate the configured dataset into out_dir and return the manifest
     (also written as manifest.json). Refuses a non-empty directory unless
     force is set; force first deletes the shard-*.iq, shard-*.meta.jsonl,
     shard-*.tmp and manifest.json files of an earlier run and leaves other
     files alone. Bytes do not depend on workers, which must be >= 1.
 
-    Each shard's _TASK_SIZE-example tasks run on a pool of `workers`
-    processes (inline at 1). A task writes its IQ straight into the shard
-    file and returns only its meta bytes; the parent takes the results in
-    task order, appends the meta and reads the task's IQ back to hash it,
-    so it holds one task's bytes at a time. Both shard files are written
-    under a .tmp name and renamed once complete, and manifest.json is
-    renamed into place last: a run that raises or is killed leaves no
-    manifest and no incomplete file under a final name."""
+    The shards are those of the one layout (see the module docstring):
+    DEFAULT_SHARD_SIZE examples each, the last one shorter; no caller
+    chooses another. Each shard's _TASK_SIZE-example tasks run on a pool
+    of `workers` forked processes (inline at 1). A task writes its IQ
+    straight into the shard file and returns only its meta bytes; the
+    parent takes the results in task order, appends the meta and reads
+    the task's IQ back to hash it, so it holds one task's bytes at a time.
+    Both shard files are written under a .tmp name and renamed once
+    complete, and manifest.json is renamed into place last: a run that
+    raises or is killed leaves no manifest and no incomplete file under a
+    final name."""
     check_int("workers", workers, 1)
-    check_int("shard_size", shard_size, 1)
     out_path = Path(out_dir)
     if out_path.exists() and any(out_path.iterdir()) and not force:
         raise FileExistsError(f"{out_path} is not empty (pass force to overwrite)")
@@ -315,13 +333,16 @@ def write_shards(config: DatasetConfig, out_dir: str | Path, workers: int = 1,
     frame_bytes = 8 * config.frame_len
     overall = hashlib.sha256()
     shard_entries = []
-    with multiprocessing.Pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
-        for shard_index, start in enumerate(range(0, config.total_examples, shard_size)):
-            count = min(shard_size, config.total_examples - start)
-            name = _shard_name(shard_index)
+    # fork by name, not the platform's default (forkserver from Python
+    # 3.14): forked workers start with this process's imports, and a
+    # forkserver pool doubled the time of a cold 53-example generate
+    fork = multiprocessing.get_context("fork")
+    with fork.Pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        for shard in _layout(config.total_examples):
+            name, start = shard["name"], shard["start_index"]
             iq_path, meta_path = out_path / f"{name}.iq", out_path / f"{name}.meta.jsonl"
             iq_sha256, meta_sha256 = hashlib.sha256(), hashlib.sha256()
-            tasks = _task_ranges(start, count)
+            tasks = _ranges(start, shard["count"], _TASK_SIZE)
             write = functools.partial(_write_task, config, str(_tmp(iq_path)), start)
             # the IQ file exists before the first task opens it by path
             with open(_tmp(iq_path), "w+b") as iq_file, open(_tmp(meta_path), "wb") as meta_file:
@@ -335,13 +356,8 @@ def write_shards(config: DatasetConfig, out_dir: str | Path, workers: int = 1,
                     overall.update(iq_bytes)
             os.replace(_tmp(iq_path), iq_path)
             os.replace(_tmp(meta_path), meta_path)
-            shard_entries.append({
-                "name": name,
-                "start_index": start,
-                "count": count,
-                "iq_sha256": iq_sha256.hexdigest(),
-                "meta_sha256": meta_sha256.hexdigest(),
-            })
+            shard_entries.append({**shard, "iq_sha256": iq_sha256.hexdigest(),
+                                  "meta_sha256": meta_sha256.hexdigest()})
 
     # json round trip normalizes tuples to lists so the returned manifest
     # compares equal to the reloaded one
@@ -383,7 +399,9 @@ def load_manifest(dataset_dir: str | Path) -> dict:
     UnsupportedFormatError unless its format_version is FORMAT_VERSION and
     ManifestError unless it is a JSON object with what readers use before
     any digest check: integer config.frame_len, config.examples_per_class
-    and num_examples, and a shards list."""
+    and num_examples, and a shards table that is the layout of
+    num_examples, each entry's name, start_index and count as the layout
+    has them and its iq_sha256 and meta_sha256 strings."""
     path = Path(dataset_dir) / "manifest.json"
     if not path.exists():
         raise FileNotFoundError(f"no manifest.json in {dataset_dir}")
@@ -394,33 +412,41 @@ def load_manifest(dataset_dir: str | Path) -> dict:
     if found != FORMAT_VERSION:
         raise UnsupportedFormatError(
             f"{path} has format_version {found!r}; this version reads {FORMAT_VERSION} only")
-    config = manifest.get("config")
-    if not (isinstance(config, dict) and isinstance(manifest.get("shards"), list)
-            and all(isinstance(value, int) for value in (
-                config.get("frame_len"), config.get("examples_per_class"),
-                manifest.get("num_examples")))):
+    config, shards, total = (manifest.get(key) for key in ("config", "shards", "num_examples"))
+    if not (isinstance(config, dict) and isinstance(shards, list) and all(
+            isinstance(value, int)
+            for value in (config.get("frame_len"), config.get("examples_per_class"), total))):
         raise ManifestError(f"{path} lacks an integer config.frame_len, "
                             f"config.examples_per_class or num_examples, or a shards list")
+    # lengths first, so a hostile num_examples does not build its layout
+    if len(shards) != len(range(0, total, DEFAULT_SHARD_SIZE)) or not all(
+            isinstance(entry, dict) and {key: entry.get(key) for key in shard} == shard
+            and all(isinstance(entry.get(key), str) for key in ("iq_sha256", "meta_sha256"))
+            for entry, shard in zip(shards, _layout(total))):
+        raise ManifestError(f"{path} lacks the shard table of {total} examples "
+                            f"in shards of {DEFAULT_SHARD_SIZE}")
     return manifest
 
 
-def _shards(root: str | Path, manifest: dict, verify: bool) -> Iterator[tuple[dict, bytes, bytes]]:
-    """(entry, IQ bytes, meta bytes) of each shard, each file read once.
-    With verify, raises DigestMismatchError where a digest differs: the
-    manifest's first, a shard's before it is yielded, the overall last."""
+def _shards(root: str | Path, manifest: dict, verify: bool) -> Iterator[tuple[str, bytes, bytes]]:
+    """(name, IQ bytes, meta bytes) of each shard of the layout, each file
+    read once. With verify, raises DigestMismatchError where a digest
+    differs: the manifest's first, a shard's before it is yielded, the
+    overall last."""
     if verify and manifest_digest(manifest) != manifest.get("manifest_sha256"):
         raise DigestMismatchError("manifest digest mismatch")
     overall = hashlib.sha256()
-    for entry in manifest["shards"]:
-        iq_bytes = Path(root, f"{entry['name']}.iq").read_bytes()
-        meta_bytes = Path(root, f"{entry['name']}.meta.jsonl").read_bytes()
+    for shard, entry in zip(_layout(manifest["num_examples"]), manifest["shards"]):
+        name = shard["name"]
+        iq_bytes = Path(root, f"{name}.iq").read_bytes()
+        meta_bytes = Path(root, f"{name}.meta.jsonl").read_bytes()
         if verify:
             overall.update(iq_bytes)
             if hashlib.sha256(iq_bytes).hexdigest() != entry["iq_sha256"]:
-                raise DigestMismatchError(f"{entry['name']}.iq digest mismatch")
+                raise DigestMismatchError(f"{name}.iq digest mismatch")
             if hashlib.sha256(meta_bytes).hexdigest() != entry["meta_sha256"]:
-                raise DigestMismatchError(f"{entry['name']}.meta.jsonl digest mismatch")
-        yield entry, iq_bytes, meta_bytes
+                raise DigestMismatchError(f"{name}.meta.jsonl digest mismatch")
+        yield name, iq_bytes, meta_bytes
     if verify and overall.hexdigest() != manifest["digest_sha256"]:
         raise DigestMismatchError("overall digest mismatch")
 
@@ -436,34 +462,31 @@ def verify_digests(dataset_dir: str | Path, manifest: dict | None = None) -> Non
 def read_example(dataset_dir: str | Path, index: int,
                  manifest: dict | None = None) -> tuple[np.ndarray, dict]:
     """Fetch one (complex64 frame, meta) by example index, touching only
-    the shard that holds it. Raises OSError if the shard holds less IQ
-    than the manifest says."""
-    root = Path(dataset_dir)
-    manifest = manifest if manifest is not None else load_manifest(root)
-    frame_len = manifest["config"]["frame_len"]
-    for entry in manifest["shards"]:
-        offset = index - entry["start_index"]
-        if 0 <= offset < entry["count"]:
-            bytes_per_frame = 8 * frame_len
-            with open(root / f"{entry['name']}.iq", "rb") as fh:
-                raw = _pread_exact(fh.fileno(), bytes_per_frame, offset * bytes_per_frame)
-            frame = bytes_to_frames(raw, frame_len)[0]
-            with open(root / f"{entry['name']}.meta.jsonl", "r", encoding="utf-8") as fh:
-                for line_no, line in enumerate(fh):
-                    if line_no == offset:
-                        return frame, json.loads(line)
-            raise ValueError(f"{entry['name']}.meta.jsonl shorter than expected")
-    raise IndexError(f"example index {index} out of range "
-                     f"(dataset has {manifest['num_examples']})")
+    the shard of the layout that holds it, index // DEFAULT_SHARD_SIZE.
+    Raises IndexError for an index outside 0 .. num_examples-1, and
+    OSError (EIO) if the shard's IQ or metadata stops short of it."""
+    manifest = manifest if manifest is not None else load_manifest(dataset_dir)
+    if not 0 <= index < manifest["num_examples"]:
+        raise IndexError(f"example index {index} out of range "
+                         f"(dataset has {manifest['num_examples']})")
+    shard_index, offset = divmod(index, DEFAULT_SHARD_SIZE)
+    name, frame_len = _shard_name(shard_index), manifest["config"]["frame_len"]
+    with open(Path(dataset_dir, f"{name}.iq"), "rb") as fh:
+        raw = _pread_exact(fh.fileno(), 8 * frame_len, offset * 8 * frame_len)
+    with open(Path(dataset_dir, f"{name}.meta.jsonl"), "r", encoding="utf-8") as fh:
+        line = next(itertools.islice(fh, offset, None), "")
+    if not line.endswith("\n"):  # as meta_to_line ends every line
+        raise OSError(errno.EIO, f"{name}.meta.jsonl ends before the end of line {offset + 1}")
+    return bytes_to_frames(raw, frame_len)[0], json.loads(line)
 
 
 def _examples(root: str | Path, manifest: dict, verify: bool) -> Iterator[tuple[np.ndarray, dict]]:
     """(complex64 frame, meta) in index order, from one _shards pass."""
-    for entry, iq_bytes, meta_bytes in _shards(root, manifest, verify):
+    for name, iq_bytes, meta_bytes in _shards(root, manifest, verify):
         frames = bytes_to_frames(iq_bytes, manifest["config"]["frame_len"])
         metas = [json.loads(line) for line in meta_bytes.decode("utf-8").splitlines()]
         if len(metas) != len(frames):
-            raise ValueError(f"{entry['name']}: {len(frames)} frames but {len(metas)} meta lines")
+            raise ValueError(f"{name}: {len(frames)} frames but {len(metas)} meta lines")
         yield from zip(frames, metas)
 
 

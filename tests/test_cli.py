@@ -176,8 +176,10 @@ def test_inspect_constellation_rejects_fsk(clean_ds, tmp_path, capsys):
 
 
 def test_inspect_bad_index_or_dir(clean_ds, tmp_path, capsys):
-    assert run(["inspect", "--in", str(clean_ds), "--index", "999",
-                "--meta"]) == 1
+    for index in ("-1", "53", "999"):
+        assert run(["inspect", "--in", str(clean_ds), "--index", index, "--meta"]) == 1
+        captured = capsys.readouterr()
+        assert captured == ("", f"error: example index {index} out of range (dataset has 53)\n")
     assert run(["inspect", "--in", str(tmp_path / "void"), "--index", "0",
                 "--meta"]) == 1
 
@@ -264,6 +266,21 @@ def test_inspect_of_a_truncated_shard_is_an_error_line(clean_ds, tmp_path, capsy
     assert captured.out == ""
     assert captured.err == (f"error: [Errno {errno.EIO}] read 100 of 2048 IQ bytes "
                             f"at offset {8 * 256 * 40}\n")
+
+
+@pytest.mark.parametrize("partial", [False, True])
+def test_inspect_of_a_truncated_meta_file_is_an_error_line(clean_ds, tmp_path, capsys, partial):
+    # the file ends after line 40, or halfway through line 41, index 40's
+    target = tmp_path / "ds"
+    shutil.copytree(clean_ds, target)
+    meta_path = target / "shard-00000.meta.jsonl"
+    lines = meta_path.read_bytes().splitlines(keepends=True)
+    meta_path.write_bytes(b"".join(lines[:40]) + (lines[40][:50] if partial else b""))
+    assert run(["inspect", "--in", str(target), "--index", "40", "--meta"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: [Errno {errno.EIO}] shard-00000.meta.jsonl ends before "
+                            f"the end of line 41\n")
 
 
 def test_validate_rejects_negative_sample(clean_ds, capsys):

@@ -3,12 +3,16 @@
 import builtins
 import collections
 import errno
+import functools
 import hashlib
 import io
 import itertools
 import json
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigforge import dataset as dataset_module
+from sigforge.cli import main
 from sigforge.dataset import (
     DEFAULT_SHARD_SIZE,
     FORMAT_VERSION,
@@ -50,6 +55,14 @@ from sigforge.rng import derive_stream
 def small_config(variant="clean-train", epc=2, seed=3, frame_len=256):
     return DatasetConfig(variant=variant, examples_per_class=epc,
                          dataset_seed=seed, frame_len=frame_len)
+
+
+@pytest.fixture
+def shard_size(monkeypatch):
+    """shard_size(n) gives the datasets this test writes and reads shards
+    of n examples instead of DEFAULT_SHARD_SIZE; write_shards' forked pool
+    workers inherit the patch."""
+    return functools.partial(monkeypatch.setattr, dataset_module, "DEFAULT_SHARD_SIZE")
 
 
 def test_config_validation():
@@ -224,9 +237,10 @@ def test_replay_example_matches_stored_bytes(variant):
         assert frame_to_bytes(again) == frame_to_bytes(frame)
 
 
-def test_write_read_round_trip(tmp_path):
+def test_write_read_round_trip(tmp_path, shard_size):
     config = small_config(epc=2)
-    manifest = write_shards(config, tmp_path / "ds", shard_size=40)
+    shard_size(40)
+    manifest = write_shards(config, tmp_path / "ds")
     assert manifest["format_version"] == FORMAT_VERSION
     assert manifest["num_examples"] == 106
     assert manifest["per_class_counts"]["qpsk"] == 2
@@ -274,12 +288,13 @@ def test_write_refuses_nonempty_dir_without_force(tmp_path):
     verify_digests(target, manifest)
 
 
-def test_worker_count_does_not_change_bytes(tmp_path):
+def test_worker_count_does_not_change_bytes(tmp_path, shard_size):
     # a shard size that is not a multiple of the pool task size makes
     # tasks end at shard boundaries
     config = small_config("impaired-train", epc=1, frame_len=128)
-    m1 = write_shards(config, tmp_path / "w1", workers=1, shard_size=20)
-    m4 = write_shards(config, tmp_path / "w4", workers=4, shard_size=20)
+    shard_size(20)
+    m1 = write_shards(config, tmp_path / "w1", workers=1)
+    m4 = write_shards(config, tmp_path / "w4", workers=4)
     assert m1["digest_sha256"] == m4["digest_sha256"]
     assert m1["shards"] == m4["shards"]
     assert [e["count"] for e in m4["shards"]] == [20, 20, 13]
@@ -289,11 +304,12 @@ def test_worker_count_does_not_change_bytes(tmp_path):
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w4" / name).read_bytes()
 
 
-def test_force_rewrite_removes_stale_shards(tmp_path):
+def test_force_rewrite_removes_stale_shards(tmp_path, shard_size):
     target = tmp_path / "ds"
-    write_shards(small_config(epc=2), target, shard_size=20)
+    shard_size(20)
+    write_shards(small_config(epc=2), target)
     (target / "notes.txt").write_text("kept")
-    manifest = write_shards(small_config(epc=1), target, force=True, shard_size=20)
+    manifest = write_shards(small_config(epc=1), target, force=True)
     shards = [e["name"] for e in manifest["shards"]]
     assert shards == ["shard-00000", "shard-00001", "shard-00002"]
     assert sorted(p.name for p in target.iterdir()) == sorted(
@@ -333,16 +349,18 @@ def test_load_manifest_missing():
         load_manifest("/nonexistent/dataset/dir")
 
 
-def test_read_example_random_access(tmp_path):
+def test_read_example_random_access(tmp_path, shard_size):
     config = small_config(epc=2)
-    write_shards(config, tmp_path / "ds", shard_size=30)
+    shard_size(30)
+    write_shards(config, tmp_path / "ds")
     everything = list(read(tmp_path / "ds"))
     for index in (0, 29, 30, 75, 105):
         frame, meta = read_example(tmp_path / "ds", index)
         np.testing.assert_array_equal(frame, everything[index][0])
         assert meta == everything[index][1]
-    with pytest.raises(IndexError):
-        read_example(tmp_path / "ds", 106)
+    for index in (-1, 106):
+        with pytest.raises(IndexError):
+            read_example(tmp_path / "ds", index)
 
 
 def test_stored_replay_matches_float32_bytes(tmp_path):
@@ -355,16 +373,12 @@ def test_stored_replay_matches_float32_bytes(tmp_path):
         np.testing.assert_array_equal(frame, again)
 
 
-def test_write_shards_rejects_bad_shard_size(tmp_path):
-    with pytest.raises(ValueError):
-        write_shards(small_config(epc=1), tmp_path / "ds", shard_size=0)
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_an_interrupted_write_leaves_no_manifest_and_no_incomplete_shard(
-        tmp_path, monkeypatch, workers):
+        tmp_path, monkeypatch, shard_size, workers):
     config = small_config(epc=1, frame_len=MIN_FRAME_LEN)
-    whole = write_shards(config, tmp_path / "whole", shard_size=20)
+    shard_size(20)
+    whole = write_shards(config, tmp_path / "whole")
     generate = dataset_module.generate_example
 
     def fail_in_second_shard(index, *args):
@@ -375,17 +389,36 @@ def test_an_interrupted_write_leaves_no_manifest_and_no_incomplete_shard(
     monkeypatch.setattr(dataset_module, "generate_example", fail_in_second_shard)
     target = tmp_path / "ds"
     with pytest.raises(RuntimeError, match="generation failed"):
-        write_shards(config, target, workers=workers, shard_size=20)
+        write_shards(config, target, workers=workers)
     assert sorted(p.name for p in target.iterdir()) == [
         "shard-00000.iq", "shard-00000.meta.jsonl",
         "shard-00001.iq.tmp", "shard-00001.meta.jsonl.tmp"]
     for name in ("shard-00000.iq", "shard-00000.meta.jsonl"):
         assert (target / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
 
-    monkeypatch.undo()
-    assert write_shards(config, target, workers=workers, force=True, shard_size=20) == whole
+    monkeypatch.setattr(dataset_module, "generate_example", generate)
+    assert write_shards(config, target, workers=workers, force=True) == whole
     assert (sorted(p.name for p in target.iterdir())
             == sorted(p.name for p in (tmp_path / "whole").iterdir()))
+
+
+def test_write_shards_forks_its_pool_whatever_the_default_start_method(tmp_path):
+    # forked workers inherit this process's module state: here a patched
+    # generate_example, which spawned workers would import afresh
+    code = ("import multiprocessing, sys\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "from sigforge import dataset\n"
+            "def fail(*args):\n"
+            "    raise RuntimeError('patched generate_example ran')\n"
+            "dataset.generate_example = fail\n"
+            "dataset.write_shards(dataset.DatasetConfig('clean-val', 1, 0, 64), sys.argv[1],\n"
+            "                     workers=2)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path / "ds")],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 1
+    assert result.stderr.endswith("RuntimeError: patched generate_example ran\n"), result.stderr
 
 
 def test_force_removes_the_tmp_files_of_an_interrupted_run(tmp_path):
@@ -424,14 +457,14 @@ def test_iq_that_never_reached_the_file_is_not_hashed(tmp_path, monkeypatch, wor
     assert not (target / "manifest.json").exists()
 
 
-def test_short_iq_writes_are_completed(tmp_path, monkeypatch):
+def test_short_iq_writes_are_completed(tmp_path, monkeypatch, shard_size):
     config = small_config("impaired-val", epc=1)
-    want = write_shards(config, tmp_path / "want", shard_size=20)
+    shard_size(20)
+    want = write_shards(config, tmp_path / "want")
     pwrite = os.pwrite
     monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: pwrite(fd, data[:1000], offset))
     for workers in (1, 2):
-        assert write_shards(config, tmp_path / f"w{workers}", workers=workers,
-                            shard_size=20) == want
+        assert write_shards(config, tmp_path / f"w{workers}", workers=workers) == want
 
 
 def test_pread_exact_refuses_a_short_read(tmp_path):
@@ -450,12 +483,24 @@ def test_pread_exact_refuses_a_short_read(tmp_path):
         os.close(fd)
 
 
+IMPAIRED_SHARD_SIZE = 20
+
+
 @pytest.fixture(scope="module")
-def impaired_dir(tmp_path_factory):
-    """53 impaired examples, every one replayed by validate(sample=53)."""
+def impaired_written(tmp_path_factory):
     target = tmp_path_factory.mktemp("impaired") / "ds"
-    write_shards(small_config("impaired-train", epc=1), target, shard_size=20)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset_module, "DEFAULT_SHARD_SIZE", IMPAIRED_SHARD_SIZE)
+        write_shards(small_config("impaired-train", epc=1), target)
     return target
+
+
+@pytest.fixture
+def impaired_dir(impaired_written, shard_size):
+    """53 impaired examples in shards of 20, 20 and 13, every one replayed
+    by validate(sample=53); the test reads them at that shard size."""
+    shard_size(IMPAIRED_SHARD_SIZE)
+    return impaired_written
 
 
 def rewrite_manifest(target, manifest):
@@ -584,16 +629,44 @@ def test_load_manifest_refuses_another_format_version(tmp_path):
     lambda m: m.update(shards={}),
     lambda m: m.update(num_examples="53"),
     lambda m: m["config"].update(frame_len=None),
+    # a shard table other than the layout of num_examples
+    lambda m: m.update(shards=[{}]),
+    lambda m: m["shards"].__setitem__(0, 5),
+    lambda m: m["shards"][0].update(start_index="0"),
+    lambda m: m["shards"][0].update(name="../outside"),
+    lambda m: m["shards"][0].update(count=10 ** 9),
+    lambda m: m["shards"].pop(),
+    lambda m: m["shards"].append(dict(m["shards"][-1], name="shard-00003", start_index=53)),
+    lambda m: m["shards"][0].update(iq_sha256=5),
+    lambda m: m["shards"][-1].pop("meta_sha256"),
+    lambda m: m.update(num_examples=10 ** 18),
 ])
-def test_load_manifest_refuses_a_manifest_without_what_readers_use(impaired_dir, tmp_path, edit):
+def test_load_manifest_refuses_a_manifest_without_what_readers_use(
+        impaired_dir, tmp_path, monkeypatch, capsys, edit):
     target = tmp_path / "ds"
     shutil.copytree(impaired_dir, target)
+    # what a table entry named "../outside" would point a reader at
+    for suffix in (".iq", ".meta.jsonl"):
+        shutil.copy(target / f"shard-00000{suffix}", tmp_path / f"outside{suffix}")
     manifest = load_manifest(target)
     edit(manifest)
     rewrite_manifest(target, manifest)
+    ranges = dataset_module._ranges
+
+    def bounded_ranges(start, count, size):
+        assert count <= 10 ** 6, "the layout of a hostile num_examples was built"
+        return ranges(start, count, size)
+    monkeypatch.setattr(dataset_module, "_ranges", bounded_ranges)
     for reader in (load_manifest, validate, lambda d: read_example(d, 0), lambda d: list(read(d))):
         with pytest.raises(ManifestError, match="lacks"):
             reader(target)
+    for argv in (["validate", "--in", str(target)],
+                 ["inspect", "--in", str(target), "--index", "0", "--meta"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {target / 'manifest.json'} lacks ")
+        assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text", ["[]", '"manifest"', "2", "null"])
@@ -603,7 +676,9 @@ def test_load_manifest_refuses_json_that_is_not_an_object(tmp_path, text):
         load_manifest(tmp_path)
 
 
-def test_validate_and_a_verified_read_read_each_shard_file_once(impaired_dir, monkeypatch):
+@pytest.fixture
+def opened(monkeypatch):
+    """A Counter of the files opened during the test, by base name."""
     opened = collections.Counter()
     real_open = io.open
 
@@ -614,6 +689,10 @@ def test_validate_and_a_verified_read_read_each_shard_file_once(impaired_dir, mo
     # builtins.open is io.open; pathlib's read_bytes calls io.open
     monkeypatch.setattr(io, "open", counting_open)
     monkeypatch.setattr(builtins, "open", counting_open)
+    return opened
+
+
+def test_validate_and_a_verified_read_read_each_shard_file_once(impaired_dir, opened):
     shard_files = sorted(path.name for path in impaired_dir.glob("shard-*"))
     assert len(shard_files) == 6
     for run in (lambda: validate(impaired_dir, sample=53),
@@ -621,6 +700,14 @@ def test_validate_and_a_verified_read_read_each_shard_file_once(impaired_dir, mo
         opened.clear()
         run()
         assert {name: opened[name] for name in shard_files} == dict.fromkeys(shard_files, 1)
+
+
+def test_read_example_opens_only_the_shard_that_holds_the_example(impaired_dir, opened):
+    frame, meta = read_example(impaired_dir, 52)
+    assert meta["index"] == 52
+    assert {name: count for name, count in opened.items() if name.startswith("shard-")} == {
+        "shard-00002.iq": 1, "shard-00002.meta.jsonl": 1}
+    np.testing.assert_array_equal(frame, list(read(impaired_dir))[52][0])
 
 
 def test_a_verified_read_yields_only_shards_whose_digests_match(impaired_dir, tmp_path):
