@@ -35,8 +35,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    manifest = ds.load_manifest(args.in_dir)
-    frame32, meta = ds.read_example(args.in_dir, args.index, manifest)
+    frame32, meta = ds.read_example(args.in_dir, args.index)
     return _write_views(args, frame32.astype(np.complex128), meta)
 
 

@@ -9,6 +9,15 @@ A dataset is a directory of fixed-size shards plus a manifest:
                              frame-major, no header
     shard-NNNNN.meta.jsonl   one JSON object per example, same order
 
+Everything in the manifest but its shard digests and its own digests
+follows from the DatasetConfig: derive_manifest gives format_version,
+the config echo (config_echo; config_from_echo reads it back),
+num_examples, num_classes and per_class_counts, and write_shards adds
+only shards, digest_sha256 and manifest_sha256. load_manifest rebuilds
+the DatasetConfig through the constructor generate uses, so a reader
+trusts only a config that generate would accept, and refuses a manifest
+whose derived keys differ from what that config gives.
+
 The shard layout is a function of num_examples alone: shard k is named
 shard-{k:05d} and holds examples DEFAULT_SHARD_SIZE*k up to
 min(DEFAULT_SHARD_SIZE*(k+1), num_examples). The manifest's shard table
@@ -42,6 +51,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import signal
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -132,6 +142,34 @@ class DatasetConfig:
     @property
     def total_examples(self) -> int:
         return self.examples_per_class * NUM_CLASSES
+
+
+def config_echo(config: DatasetConfig) -> dict:
+    """The manifest's echo of config: its fields as JSON gives them back
+    (the json round trip turns tuples into lists, so a written manifest
+    compares equal to the reloaded one), with profile null for a clean
+    variant, whose bytes do not depend on it."""
+    echo = json.loads(json.dumps(dataclasses.asdict(config)))
+    return {**echo, "profile": echo["profile"] if config.is_impaired else None}
+
+
+def config_from_echo(echo: object) -> DatasetConfig:
+    """The DatasetConfig a config echo describes, a null profile read as
+    the default. Raises TypeError or ValueError, as DatasetConfig and
+    ImpairmentProfile do, for an echo that no valid config has."""
+    profile = (echo.get("profile") or {}) if isinstance(echo, dict) else None
+    if not isinstance(profile, dict):
+        raise TypeError("config and its profile must be JSON objects")
+    return DatasetConfig(**{**echo, "profile": ImpairmentProfile(**{
+        key: tuple(value) if isinstance(value, list) else value
+        for key, value in profile.items()})})
+
+
+def derive_manifest(config: DatasetConfig) -> dict:
+    """The keys of a manifest that follow from its config alone."""
+    return {"format_version": FORMAT_VERSION, "config": config_echo(config),
+            "num_examples": config.total_examples, "num_classes": NUM_CLASSES,
+            "per_class_counts": {cls.name: config.examples_per_class for cls in CLASS_LIST}}
 
 
 def generate_example(index: int, class_index: int, rng: RngStream,
@@ -241,6 +279,22 @@ def _layout(num_examples: int) -> list[dict]:
             for k, (first, count) in enumerate(_ranges(0, num_examples, DEFAULT_SHARD_SIZE))]
 
 
+def _init_worker() -> None:
+    """Pool workers leave Ctrl-C to their parent, which then terminates
+    them, and die on the SIGTERM of Pool.terminate."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def fork_pool(workers: int) -> multiprocessing.pool.Pool | None:
+    """A pool of `workers` forked processes, or None for one worker, whose
+    work then runs inline. Fork by name, not the platform's default
+    (forkserver from Python 3.14): forked workers start with this
+    process's imports, and a forkserver pool doubled the time of a cold
+    53-example generate."""
+    return multiprocessing.get_context("fork").Pool(workers, _init_worker) if workers > 1 else None
+
+
 def _generate_task(config: DatasetConfig, task: tuple[int, int]) -> tuple[bytes, bytes]:
     """generate_range for one (start, count) pair, the one argument that
     pool.imap passes."""
@@ -283,8 +337,10 @@ def _write_task(config: DatasetConfig, iq_path: str, shard_start: int,
 def _pread_exact(fd: int, size: int, offset: int) -> bytes:
     """size bytes of fd from offset. Raises OSError on a short read, so IQ
     that never reached the file fails the write rather than being hashed
-    as a hole."""
-    data = os.pread(fd, size, offset)
+    as a hole. Asks for no more than the file holds past offset, so a
+    size past it is a short read, not a size-byte allocation."""
+    available = os.fstat(fd).st_size - offset
+    data = os.pread(fd, min(size, available), offset) if available > 0 else b""
     if len(data) != size:
         raise OSError(errno.EIO, f"read {len(data)} of {size} IQ bytes at offset {offset}")
     return data
@@ -333,11 +389,7 @@ def write_shards(config: DatasetConfig, out_dir: str | Path, workers: int = 1,
     frame_bytes = 8 * config.frame_len
     overall = hashlib.sha256()
     shard_entries = []
-    # fork by name, not the platform's default (forkserver from Python
-    # 3.14): forked workers start with this process's imports, and a
-    # forkserver pool doubled the time of a cold 53-example generate
-    fork = multiprocessing.get_context("fork")
-    with fork.Pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
+    with fork_pool(workers) or contextlib.nullcontext() as pool:
         for shard in _layout(config.total_examples):
             name, start = shard["name"], shard["start_index"]
             iq_path, meta_path = out_path / f"{name}.iq", out_path / f"{name}.meta.jsonl"
@@ -359,26 +411,8 @@ def write_shards(config: DatasetConfig, out_dir: str | Path, workers: int = 1,
             shard_entries.append({**shard, "iq_sha256": iq_sha256.hexdigest(),
                                   "meta_sha256": meta_sha256.hexdigest()})
 
-    # json round trip normalizes tuples to lists so the returned manifest
-    # compares equal to the reloaded one
-    profile_echo = (json.loads(json.dumps(dataclasses.asdict(config.profile)))
-                    if config.is_impaired else None)
-    config_echo = {
-        "variant": config.variant,
-        "examples_per_class": config.examples_per_class,
-        "dataset_seed": config.dataset_seed,
-        "frame_len": config.frame_len,
-        "profile": profile_echo,
-    }
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "config": config_echo,
-        "num_examples": config.total_examples,
-        "num_classes": NUM_CLASSES,
-        "per_class_counts": {cls.name: config.examples_per_class for cls in CLASS_LIST},
-        "shards": shard_entries,
-        "digest_sha256": overall.hexdigest(),
-    }
+    manifest = {**derive_manifest(config), "shards": shard_entries,
+                "digest_sha256": overall.hexdigest()}
     manifest["manifest_sha256"] = manifest_digest(manifest)
     _tmp(manifest_path).write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -390,18 +424,23 @@ def manifest_digest(manifest: dict) -> str:
     """sha256 of the manifest's canonical JSON (sorted keys, compact
     separators), every key but manifest_sha256 itself."""
     body = {key: value for key, value in manifest.items() if key != "manifest_sha256"}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical(body).encode("utf-8")).hexdigest()
+
+
+def _canonical(value: object) -> str:
+    """value as JSON with sorted keys and compact separators."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def load_manifest(dataset_dir: str | Path) -> dict:
     """The dataset's manifest. Raises FileNotFoundError without one,
     UnsupportedFormatError unless its format_version is FORMAT_VERSION and
-    ManifestError unless it is a JSON object with what readers use before
-    any digest check: integer config.frame_len, config.examples_per_class
-    and num_examples, and a shards table that is the layout of
-    num_examples, each entry's name, start_index and count as the layout
-    has them and its iq_sha256 and meta_sha256 strings."""
+    ManifestError unless it is a JSON object that generate could have
+    written, as far as can be told before any digest check: a config that
+    config_from_echo accepts, the keys derive_manifest gives for that
+    config, a digest_sha256 string, and a shards table that is the layout
+    of num_examples, each entry's name, start_index and count as the
+    layout has them and its iq_sha256 and meta_sha256 strings."""
     path = Path(dataset_dir) / "manifest.json"
     if not path.exists():
         raise FileNotFoundError(f"no manifest.json in {dataset_dir}")
@@ -412,17 +451,22 @@ def load_manifest(dataset_dir: str | Path) -> dict:
     if found != FORMAT_VERSION:
         raise UnsupportedFormatError(
             f"{path} has format_version {found!r}; this version reads {FORMAT_VERSION} only")
-    config, shards, total = (manifest.get(key) for key in ("config", "shards", "num_examples"))
-    if not (isinstance(config, dict) and isinstance(shards, list) and all(
-            isinstance(value, int)
-            for value in (config.get("frame_len"), config.get("examples_per_class"), total))):
-        raise ManifestError(f"{path} lacks an integer config.frame_len, "
-                            f"config.examples_per_class or num_examples, or a shards list")
-    # lengths first, so a hostile num_examples does not build its layout
-    if len(shards) != len(range(0, total, DEFAULT_SHARD_SIZE)) or not all(
-            isinstance(entry, dict) and {key: entry.get(key) for key in shard} == shard
-            and all(isinstance(entry.get(key), str) for key in ("iq_sha256", "meta_sha256"))
-            for entry, shard in zip(shards, _layout(total))):
+    try:
+        config = config_from_echo(manifest.get("config"))
+    except (TypeError, ValueError) as exc:
+        raise ManifestError(f"{path} lacks a valid config: {exc}") from exc
+    for key, value in derive_manifest(config).items():
+        # as canonical JSON, so neither 53.0 nor true passes for 53
+        if _canonical(manifest.get(key)) != _canonical(value):
+            raise ManifestError(f"{path} lacks the {key} that generate writes for its config")
+    if not isinstance(manifest.get("digest_sha256"), str):
+        raise ManifestError(f"{path} lacks a digest_sha256 string")
+    shards, total = manifest.get("shards"), config.total_examples
+    # lengths first, so a hostile examples_per_class does not build its layout
+    if not (isinstance(shards, list) and len(shards) == len(range(0, total, DEFAULT_SHARD_SIZE))
+            and all(isinstance(entry, dict) and {key: entry.get(key) for key in shard} == shard
+                    and all(isinstance(entry.get(key), str) for key in ("iq_sha256", "meta_sha256"))
+                    for entry, shard in zip(shards, _layout(total)))):
         raise ManifestError(f"{path} lacks the shard table of {total} examples "
                             f"in shards of {DEFAULT_SHARD_SIZE}")
     return manifest
@@ -522,7 +566,6 @@ def validate(dataset_dir: str | Path, sample: int = 20) -> list[CheckResult]:
     (UnsupportedFormatError, ManifestError), FileNotFoundError without one."""
     check_int("sample", sample, 0)
     manifest = load_manifest(dataset_dir)
-    expected = manifest["config"]["examples_per_class"]
     sampled = set(_sample_indices(manifest["num_examples"], sample))
     in_order, replay_ok, position = True, True, 0
     snr_errors, envelopes = [], []
@@ -531,12 +574,12 @@ def validate(dataset_dir: str | Path, sample: int = 20) -> list[CheckResult]:
             if meta["index"] != position or meta["class_index"] != position % NUM_CLASSES:
                 in_order = False
             if position in sampled:
-                frame, signal, record = _replay(meta, manifest["config"]["frame_len"])
+                frame, pre_noise, record = _replay(meta, manifest["config"]["frame_len"])
                 replay_ok = replay_ok and frame_to_bytes(frame) == frame32.tobytes()
                 awgn = record and next((s for s in record.steps if s.kind == "awgn"), None)
                 if awgn is not None:
                     measured = measurement.measure_esn0(
-                        signal, frame - signal, awgn.params["samples_per_symbol"])
+                        pre_noise, frame - pre_noise, awgn.params["samples_per_symbol"])
                     snr_errors.append(abs(measured - record.target_esn0_db))
                 elif record is None and meta["family"] == "fsk":
                     envelopes.append(measurement.envelope_constancy(frame32.astype(np.complex128)))
@@ -544,11 +587,12 @@ def validate(dataset_dir: str | Path, sample: int = 20) -> list[CheckResult]:
     except (DigestMismatchError, FileNotFoundError) as exc:
         return [CheckResult("digest", False, str(exc))]
 
-    # with example i of class i mod 53 throughout, balance is a matter of count
-    balanced = in_order and position == manifest["num_examples"] == expected * NUM_CLASSES
+    # with example i of class i mod 53 throughout, balance is a matter of
+    # count; load_manifest has checked num_examples against the config
+    balanced = in_order and position == manifest["num_examples"]
     results = [CheckResult("digest", True),
-               CheckResult("class-balance", balanced,
-                           f"{position} examples, {expected} per class expected"),
+               CheckResult("class-balance", balanced, f"{position} examples, "
+                           f"{manifest['config']['examples_per_class']} per class expected"),
                CheckResult("replay", replay_ok, f"{len(sampled)} sampled")]
     if snr_errors:
         results.append(CheckResult(

@@ -44,12 +44,11 @@ import contextlib
 import json
 import multiprocessing
 import os
-import signal
 import socket
 import socketserver
 import struct
 
-from sigforge.dataset import DatasetConfig, check_int, iter_range
+from sigforge.dataset import DatasetConfig, check_int, fork_pool, iter_range
 from sigforge.frame import FRAME_LEN
 
 MAGIC = b"SG53"
@@ -154,16 +153,15 @@ def build_batch(request: dict, defaults: "ServerDefaults",
         check_int("start_index", start_index, 0)
     except (TypeError, ValueError) as exc:
         raise RequestError(str(exc)) from exc
-    parts = list(iter_range(config, start_index, batch_size, pool))
-    iq_blob = b"".join(iq for iq, _meta in parts)
-    meta_blob = b"".join(meta for _iq, meta in parts)
+    iq_parts, meta_parts = zip(*iter_range(config, start_index, batch_size, pool))
+    meta_blob = b"".join(meta_parts)
     header = json.dumps({
         "count": batch_size,
         "frame_len": config.frame_len,
         "dtype": "f32le-interleaved",
         "meta_bytes": len(meta_blob),
     }, sort_keys=True, separators=(",", ":")) + "\n"
-    return header.encode("utf-8") + iq_blob + meta_blob
+    return header.encode("utf-8") + b"".join(iq_parts) + meta_blob
 
 
 class ServerDefaults:
@@ -215,13 +213,6 @@ class _Handler(socketserver.BaseRequestHandler):
                 return
 
 
-def _init_worker() -> None:
-    """Pool workers die on the SIGTERM of Pool.terminate and leave Ctrl-C
-    to the server, which then terminates them."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-
-
 class BatchServer(socketserver.ThreadingTCPServer):
     """One thread per connection; a connection handles one batch at a time,
     which bounds buffered memory per client. Batches are generated on a
@@ -238,9 +229,7 @@ class BatchServer(socketserver.ThreadingTCPServer):
         # forking a threaded process is unsafe. Forked workers inherit every
         # module this process has imported, so none re-imports numpy and
         # sigforge before its first batch.
-        cpus = len(os.sched_getaffinity(0))
-        self.pool = (multiprocessing.get_context("fork").Pool(cpus, _init_worker)
-                     if cpus > 1 else None)
+        self.pool = fork_pool(len(os.sched_getaffinity(0)))
         super().__init__(address, _Handler)  # a failed bind calls server_close
 
     @property

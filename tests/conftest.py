@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,16 @@ def assert_frames_equal(a: np.ndarray, b: np.ndarray) -> None:
         bad = np.flatnonzero(a != b)
         raise AssertionError(f"frames differ at {bad.size} positions, "
                              f"first at {bad[0]}: {a[bad[0]]} vs {b[bad[0]]}")
+
+
+def child_pids(pid: int) -> set[int]:
+    """The pids of pid's live child processes, read from /proc."""
+    children = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:  # exited while we looked
+            continue
+        if int(fields[1]) == pid:  # fields: state, ppid, ...
+            children.add(int(stat.parent.name))
+    return children

@@ -9,11 +9,13 @@ import signal
 import socket
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import child_pids
 from sigforge.cli import build_parser, main
 from sigforge.dataset import FORMAT_VERSION, manifest_digest
 from sigforge.server import request_batch
@@ -123,6 +125,38 @@ def test_generate_reports_a_failed_write_as_an_error_line(tmp_path, capsys, monk
     assert code == 1
     assert captured.err == "error: [Errno 28] No space left on device\n"
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_ctrl_c_stops_generate_and_every_pool_worker_quietly(tmp_path):
+    out = tmp_path / "ds"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    # 78 per class: a first shard of 4096 examples, seconds of work
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sigforge.cli", "generate", "--variant", "clean-train",
+         "--count", str(53 * 78), "--seed", "0", "--out", str(out), "--workers", "2"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    partial = out / "shard-00000.iq.tmp"
+    try:
+        deadline = time.monotonic() + 60
+        # once the workers have written IQ, so the pool is up
+        while not (partial.exists() and partial.stat().st_size):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        workers = child_pids(proc.pid)
+        assert len(workers) == 2
+        os.killpg(proc.pid, signal.SIGINT)  # as Ctrl-C signals the terminal's group
+        _out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode != 0
+    assert "ForkPoolWorker" not in err, err  # no worker traceback
+    assert not [pid for pid in workers if Path(f"/proc/{pid}").exists()]
+    assert not [path.name for path in out.iterdir() if not path.name.endswith(".tmp")]
 
 
 def test_cli_and_server_import_no_scipy():
@@ -266,6 +300,22 @@ def test_inspect_of_a_truncated_shard_is_an_error_line(clean_ds, tmp_path, capsy
     assert captured.out == ""
     assert captured.err == (f"error: [Errno {errno.EIO}] read 100 of 2048 IQ bytes "
                             f"at offset {8 * 256 * 40}\n")
+
+
+def test_inspect_never_asks_for_more_iq_than_the_shard_holds(clean_ds, tmp_path, capsys):
+    # a valid config, whose one frame would take 8 * 10**18 bytes to read
+    target = tmp_path / "ds"
+    shutil.copytree(clean_ds, target)
+    manifest = json.loads((target / "manifest.json").read_text())
+    manifest["config"]["frame_len"] = 10 ** 18
+    manifest["manifest_sha256"] = manifest_digest(manifest)
+    (target / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    for index, got in ((0, 8 * 256 * 53), (2, 0)):
+        assert run(["inspect", "--in", str(target), "--index", str(index), "--meta"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: [Errno {errno.EIO}] read {got} of {8 * 10 ** 18} "
+                                f"IQ bytes at offset {index * 8 * 10 ** 18}\n")
 
 
 @pytest.mark.parametrize("partial", [False, True])

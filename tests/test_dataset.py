@@ -2,12 +2,14 @@
 
 import builtins
 import collections
+import dataclasses
 import errno
 import functools
 import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -33,6 +35,9 @@ from sigforge.dataset import (
     ManifestError,
     UnsupportedFormatError,
     bytes_to_frames,
+    config_echo,
+    config_from_echo,
+    derive_manifest,
     frame_to_bytes,
     generate_example,
     generate_range,
@@ -276,6 +281,48 @@ def test_impaired_manifest_echoes_profile(tmp_path):
     assert manifest["config"]["variant"] == "impaired-val"
     # returned and reloaded manifests agree including the profile echo
     assert load_manifest(tmp_path / "ds") == manifest
+
+
+def test_a_written_manifest_is_what_its_config_derives_plus_shards_and_digests(tmp_path):
+    for config in (small_config(epc=1), small_config("impaired-val", epc=1)):
+        manifest = write_shards(config, tmp_path / config.variant)
+        derived = derive_manifest(config)
+        assert set(manifest) == {*derived, "shards", "digest_sha256", "manifest_sha256"}
+        assert {key: manifest[key] for key in derived} == derived
+        assert config_from_echo(manifest["config"]) == config
+
+
+def _ordered_pair(values):
+    return st.tuples(values, values).map(lambda pair: tuple(sorted(pair)))
+
+
+_valid_profiles = st.sampled_from([DEFAULT_PROFILE, NO_IMPAIRMENT_PROFILE]) | st.builds(
+    ImpairmentProfile,
+    phase_shift_prob=st.floats(0, 1),
+    time_shift_max=st.integers(0, MIN_FRAME_LEN - 1),
+    freq_range=_ordered_pair(st.floats(-0.49, 0.49)),
+    rayleigh_taps_range=_ordered_pair(st.integers(1, 20)),
+    iq_dc_range=_ordered_pair(st.floats(-10, 10)),
+    resample_range=_ordered_pair(st.floats(0.75, 1.5)),
+    esn0_range_db=_ordered_pair(st.floats(-100, 100)) | st.just((math.inf, math.inf)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(variant=st.sampled_from(VARIANTS),
+       examples_per_class=st.integers(1, 10 ** 18),
+       dataset_seed=st.integers(-(2 ** 70), 2 ** 70),
+       frame_len=st.integers(MIN_FRAME_LEN, 10 ** 18),
+       profile=_valid_profiles)
+def test_the_config_echo_survives_a_round_trip(
+        variant, examples_per_class, dataset_seed, frame_len, profile):
+    config = DatasetConfig(variant, examples_per_class, dataset_seed, frame_len, profile)
+    echo = config_echo(config)
+    assert json.loads(json.dumps(echo)) == echo
+    again = config_from_echo(echo)
+    assert config_echo(again) == echo
+    # a clean variant's bytes do not depend on its profile, which the echo drops
+    assert again == (config if config.is_impaired
+                     else dataclasses.replace(config, profile=DEFAULT_PROFILE))
 
 
 def test_write_refuses_nonempty_dir_without_force(tmp_path):
@@ -568,17 +615,24 @@ def test_validate_fails_snr_on_a_shifted_target(impaired_dir, tmp_path):
 
 
 def test_validate_fails_balance_on_a_wrong_count(impaired_dir, tmp_path):
-    # past a re-digested manifest, the count is still checked against the
-    # examples actually read
+    # the last example dropped from both files of its shard, and every
+    # digest recomputed: the count is checked against the examples read
     target = tmp_path / "ds"
     shutil.copytree(impaired_dir, target)
     manifest = load_manifest(target)
-    manifest["config"]["examples_per_class"] = 2
+    last = manifest["shards"][-1]
+    iq_path, meta_path = target / f"{last['name']}.iq", target / f"{last['name']}.meta.jsonl"
+    iq_path.write_bytes(iq_path.read_bytes()[:-8 * 256])
+    meta_path.write_bytes(b"".join(meta_path.read_bytes().splitlines(keepends=True)[:-1]))
+    last["iq_sha256"] = hashlib.sha256(iq_path.read_bytes()).hexdigest()
+    last["meta_sha256"] = hashlib.sha256(meta_path.read_bytes()).hexdigest()
+    manifest["digest_sha256"] = hashlib.sha256(b"".join(
+        (target / f"{entry['name']}.iq").read_bytes() for entry in manifest["shards"])).hexdigest()
     rewrite_manifest(target, manifest)
+    verify_digests(target)
     results = validate(target, sample=4)
-    assert results[1] == CheckResult("class-balance", False,
-                                     "53 examples, 2 per class expected")
-    assert verdicts(results)["replay"]
+    assert results[1] == CheckResult("class-balance", False, "52 examples, 1 per class expected")
+    assert verdicts(results)["digest"] and verdicts(results)["replay"]
 
 
 def test_validate_fails_digest_on_an_edited_manifest(impaired_dir, tmp_path):
@@ -640,6 +694,25 @@ def test_load_manifest_refuses_another_format_version(tmp_path):
     lambda m: m["shards"][0].update(iq_sha256=5),
     lambda m: m["shards"][-1].pop("meta_sha256"),
     lambda m: m.update(num_examples=10 ** 18),
+    # a config that generate would refuse
+    lambda m: m["config"].update(frame_len=0),
+    lambda m: m["config"].update(frame_len=True),
+    lambda m: m["config"].update(frame_len=MIN_FRAME_LEN // 2),
+    lambda m: m["config"].update(variant="bogus"),
+    lambda m: m["config"].update(profile={"x": 1}),
+    lambda m: m["config"].update(extra=1),
+    # keys other than the ones its config gives
+    lambda m: m["config"].update(variant="clean-train"),  # a clean variant with a profile
+    lambda m: m.update(num_classes=7),
+    lambda m: m["per_class_counts"].update({CLASS_LIST[0].name: 2}),
+    lambda m: m.update(num_examples=53.0),
+    lambda m: m["config"].update(examples_per_class=2),  # 53 examples stored
+    lambda m: m.pop("digest_sha256"),
+    lambda m: m.update(digest_sha256=5),
+    # consistent, but the layout of 53 * 10**18 examples must not be built
+    lambda m: (m["config"].update(examples_per_class=10 ** 18),
+               m.update(num_examples=53 * 10 ** 18,
+                        per_class_counts=dict.fromkeys(m["per_class_counts"], 10 ** 18))),
 ])
 def test_load_manifest_refuses_a_manifest_without_what_readers_use(
         impaired_dir, tmp_path, monkeypatch, capsys, edit):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import child_pids
 from sigforge import server as server_module
 from sigforge.dataset import (
     MIN_FRAME_LEN,
@@ -527,18 +528,6 @@ def test_idle_connection_between_frames_is_kept(server, monkeypatch):
             assert message_type == MSG_RESPONSE
 
 
-def _child_pids(pid):
-    children = set()
-    for stat in Path("/proc").glob("[0-9]*/stat"):
-        try:
-            fields = stat.read_text().rsplit(")", 1)[1].split()
-        except OSError:  # exited while we looked
-            continue
-        if int(fields[1]) == pid:  # fields: state, ppid, ...
-            children.add(int(stat.parent.name))
-    return children
-
-
 def _free_port():
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
@@ -561,7 +550,7 @@ def test_sigterm_stops_serve_and_every_pool_worker():
             except OSError:  # not listening yet
                 assert proc.poll() is None and time.monotonic() < deadline
                 time.sleep(0.05)
-        workers = _child_pids(proc.pid)
+        workers = child_pids(proc.pid)
         cpus = len(os.sched_getaffinity(0))
         assert len(workers) == (cpus if cpus > 1 else 0)
         # a batch still being generated when the signal comes
