@@ -18,6 +18,12 @@ the DatasetConfig through the constructor generate uses, so a reader
 trusts only a config that generate would accept, and refuses a manifest
 whose derived keys differ from what that config gives.
 
+Impaired variants have one impairment recipe, impairments.DEFAULT_PROFILE,
+a class constant of DatasetConfig rather than a field. The echo of an
+impaired config records it and a clean one's records null, so a manifest
+whose profile echo is any other is refused as one whose config echo is
+not its config's.
+
 The shard layout is a function of num_examples alone: shard k is named
 shard-{k:05d} and holds examples DEFAULT_SHARD_SIZE*k up to
 min(DEFAULT_SHARD_SIZE*(k+1), num_examples). The manifest's shard table
@@ -54,7 +60,7 @@ import os
 import signal
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 import numpy as np
 
@@ -74,9 +80,9 @@ from sigforge.rng import RngStream, derive_stream
 
 FORMAT_VERSION = 2
 DEFAULT_SHARD_SIZE = 4096
-# Shortest supported frame. Time shifts reach 32 samples, and shorter
-# frames make some classes fail to generate; at 64, every class of both
-# variants generated over 40 seeds.
+# Shortest supported frame. It exceeds DEFAULT_PROFILE's 32-sample time
+# shift, and shorter frames make some classes fail to generate; at 64,
+# every class of both variants generated over 40 seeds.
 MIN_FRAME_LEN = 64
 # Examples per task of write_shards and iter_range: small enough to keep
 # pool workers evenly loaded (a default 32-frame batch is 4 tasks) and to
@@ -120,7 +126,8 @@ class DatasetConfig:
     examples_per_class: int
     dataset_seed: int
     frame_len: int = FRAME_LEN
-    profile: ImpairmentProfile = DEFAULT_PROFILE
+    # the impaired variants' one chain: not a field, so no config sets it
+    profile: ClassVar[ImpairmentProfile] = DEFAULT_PROFILE
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -128,12 +135,6 @@ class DatasetConfig:
         check_int("examples_per_class", self.examples_per_class, 1)
         check_int("dataset_seed", self.dataset_seed)
         check_int("frame_len", self.frame_len, MIN_FRAME_LEN)
-        if not isinstance(self.profile, ImpairmentProfile):
-            raise TypeError(f"profile must be an ImpairmentProfile, "
-                            f"got {type(self.profile).__name__}")
-        if self.profile.time_shift_max >= self.frame_len:
-            raise ValueError(f"profile.time_shift_max must be < frame_len, "
-                             f"got {self.profile.time_shift_max} >= {self.frame_len}")
 
     @property
     def is_impaired(self) -> bool:
@@ -145,24 +146,22 @@ class DatasetConfig:
 
 
 def config_echo(config: DatasetConfig) -> dict:
-    """The manifest's echo of config: its fields as JSON gives them back
-    (the json round trip turns tuples into lists, so a written manifest
-    compares equal to the reloaded one), with profile null for a clean
-    variant, whose bytes do not depend on it."""
-    echo = json.loads(json.dumps(dataclasses.asdict(config)))
-    return {**echo, "profile": echo["profile"] if config.is_impaired else None}
+    """The manifest's echo of config: its fields and its profile, null for
+    a clean variant, whose bytes do not depend on it, as JSON gives them
+    back (the json round trip turns tuples into lists, so a written
+    manifest compares equal to the reloaded one)."""
+    profile = dataclasses.asdict(config.profile) if config.is_impaired else None
+    return json.loads(json.dumps({**dataclasses.asdict(config), "profile": profile}))
 
 
 def config_from_echo(echo: object) -> DatasetConfig:
-    """The DatasetConfig a config echo describes, a null profile read as
-    the default. Raises TypeError or ValueError, as DatasetConfig and
-    ImpairmentProfile do, for an echo that no valid config has."""
-    profile = (echo.get("profile") or {}) if isinstance(echo, dict) else None
-    if not isinstance(profile, dict):
-        raise TypeError("config and its profile must be JSON objects")
-    return DatasetConfig(**{**echo, "profile": ImpairmentProfile(**{
-        key: tuple(value) if isinstance(value, list) else value
-        for key, value in profile.items()})})
+    """The DatasetConfig a config echo describes, its profile left out:
+    every config has the one profile, and load_manifest refuses an echo
+    that records another. Raises TypeError or ValueError, as DatasetConfig
+    does, for an echo that no valid config has."""
+    if not isinstance(echo, dict):
+        raise TypeError("config must be a JSON object")
+    return DatasetConfig(**{key: value for key, value in echo.items() if key != "profile"})
 
 
 def derive_manifest(config: DatasetConfig) -> dict:
@@ -291,8 +290,26 @@ def fork_pool(workers: int) -> multiprocessing.pool.Pool | None:
     work then runs inline. Fork by name, not the platform's default
     (forkserver from Python 3.14): forked workers start with this
     process's imports, and a forkserver pool doubled the time of a cold
-    53-example generate."""
-    return multiprocessing.get_context("fork").Pool(workers, _init_worker) if workers > 1 else None
+    53-example generate.
+
+    SIGINT is blocked while the pool forks, so a Ctrl-C cannot stop
+    Pool.__init__ between forking a worker and registering it, which would
+    leave that worker running; one that arrives meanwhile is raised when
+    the mask is restored, and the pool is terminated first."""
+    if workers < 2:
+        return None
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    pool = None
+    try:
+        pool = multiprocessing.get_context("fork").Pool(workers, _init_worker)
+    finally:
+        try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # runs a held-back Ctrl-C
+        except BaseException:
+            if pool is not None:
+                pool.terminate()
+            raise
+    return pool
 
 
 def _generate_task(config: DatasetConfig, task: tuple[int, int]) -> tuple[bytes, bytes]:
@@ -503,20 +520,31 @@ def verify_digests(dataset_dir: str | Path, manifest: dict | None = None) -> Non
         pass
 
 
+def _check_iq_size(name: str, iq_size: int, frame_len: int, count: int) -> None:
+    """Raise ValueError unless a shard's iq_size IQ bytes are count frames
+    of frame_len samples: under a frame_len other than the data's, frames
+    would be cut at the wrong places."""
+    if iq_size != count * 8 * frame_len:
+        raise ValueError(f"{name}: {iq_size} IQ bytes but {count} frames of {frame_len} samples")
+
+
 def read_example(dataset_dir: str | Path, index: int,
                  manifest: dict | None = None) -> tuple[np.ndarray, dict]:
     """Fetch one (complex64 frame, meta) by example index, touching only
     the shard of the layout that holds it, index // DEFAULT_SHARD_SIZE.
-    Raises IndexError for an index outside 0 .. num_examples-1, and
-    OSError (EIO) if the shard's IQ or metadata stops short of it."""
+    Raises IndexError for an index outside 0 .. num_examples-1, OSError
+    (EIO) if the shard's IQ or metadata stops short of it, and ValueError
+    if the IQ file is not the size of the shard's frames in the layout."""
     manifest = manifest if manifest is not None else load_manifest(dataset_dir)
-    if not 0 <= index < manifest["num_examples"]:
-        raise IndexError(f"example index {index} out of range "
-                         f"(dataset has {manifest['num_examples']})")
+    total = manifest["num_examples"]
+    if not 0 <= index < total:
+        raise IndexError(f"example index {index} out of range (dataset has {total})")
     shard_index, offset = divmod(index, DEFAULT_SHARD_SIZE)
     name, frame_len = _shard_name(shard_index), manifest["config"]["frame_len"]
     with open(Path(dataset_dir, f"{name}.iq"), "rb") as fh:
         raw = _pread_exact(fh.fileno(), 8 * frame_len, offset * 8 * frame_len)
+        _check_iq_size(name, os.fstat(fh.fileno()).st_size, frame_len,
+                       min(DEFAULT_SHARD_SIZE, total - shard_index * DEFAULT_SHARD_SIZE))
     with open(Path(dataset_dir, f"{name}.meta.jsonl"), "r", encoding="utf-8") as fh:
         line = next(itertools.islice(fh, offset, None), "")
     if not line.endswith("\n"):  # as meta_to_line ends every line
@@ -526,12 +554,11 @@ def read_example(dataset_dir: str | Path, index: int,
 
 def _examples(root: str | Path, manifest: dict, verify: bool) -> Iterator[tuple[np.ndarray, dict]]:
     """(complex64 frame, meta) in index order, from one _shards pass."""
+    frame_len = manifest["config"]["frame_len"]
     for name, iq_bytes, meta_bytes in _shards(root, manifest, verify):
-        frames = bytes_to_frames(iq_bytes, manifest["config"]["frame_len"])
         metas = [json.loads(line) for line in meta_bytes.decode("utf-8").splitlines()]
-        if len(metas) != len(frames):
-            raise ValueError(f"{name}: {len(frames)} frames but {len(metas)} meta lines")
-        yield from zip(frames, metas)
+        _check_iq_size(name, len(iq_bytes), frame_len, len(metas))
+        yield from zip(bytes_to_frames(iq_bytes, frame_len), metas)
 
 
 def read(dataset_dir: str | Path, validate_digest: bool = False

@@ -23,7 +23,7 @@ import numpy as np
 
 from sigforge.clean import gen_clean
 from sigforge.filters import convolve_same, lowpass_taps
-from sigforge.frame import FRAME_LEN, check_int, mean_power, normalize_unit_power
+from sigforge.frame import FRAME_LEN, mean_power, normalize_unit_power
 from sigforge.fsk import fsk_spec, gen_fsk
 from sigforge.linear import gen_linear_mod
 from sigforge.registry import SignalDescriptor, class_by_index
@@ -63,41 +63,14 @@ def _design_resample_bank() -> np.ndarray:
 _RESAMPLE_BANK = _design_resample_bank()
 _FSK_LPF_NUM_TAPS = 129
 _FSK_LPF_TRANSITION = 0.028  # cycles/sample at 129 taps
-_PROBABILITIES = ("phase_shift_prob", "time_shift_prob", "freq_shift_prob",
-                  "rayleigh_prob", "iq_imbalance_prob", "resample_prob")
-_RANGES = ("phase_range", "freq_range", "rayleigh_taps_range", "iq_amp_range_db",
-           "iq_phase_range", "iq_dc_range", "resample_range", "esn0_range_db")
-# Limits on |value| for the ranges whose stages overflow on large finite
-# values (10 ** (a / 40), 10 ** (-esn0 / 10), the DC offset's power): 40 dB
-# is an I/Q amplitude ratio of 100, 10 a DC offset ten times a unit-power
-# frame's RMS, and 100 dB Es/N0 lies far past any useful noise level.
-_SYMMETRIC_BOUNDS = {"iq_amp_range_db": 40.0, "iq_dc_range": 10.0, "esn0_range_db": 100.0}
-
-
-def _check_real(name: str, value: object) -> None:
-    """Raise TypeError unless value is an int or a float (bool and str are
-    refused, not coerced)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
-
-
-def _check_range(name: str, pair: object) -> None:
-    """Raise TypeError unless pair is a (low, high) tuple of real numbers,
-    ValueError unless both are finite, low <= high and high - low is
-    finite, so a uniform draw from the range is finite too."""
-    if not isinstance(pair, tuple) or len(pair) != 2:
-        raise TypeError(f"{name} must be a (low, high) tuple, got {pair!r}")
-    for value in pair:
-        _check_real(name, value)
-    if not -math.inf < pair[0] <= pair[1] < math.inf:
-        raise ValueError(f"{name} must be finite and ordered, got {pair!r}")
-    if math.isinf(pair[1] - pair[0]):
-        raise ValueError(f"{name} must have a finite width, got {pair!r}")
 
 
 @dataclass(frozen=True)
 class ImpairmentProfile:
-    """Gate probabilities and parameter ranges for the impairment chain."""
+    """Gate probabilities and parameter ranges for the impairment chain.
+    DEFAULT_PROFILE is the impaired variants' one recipe; other profiles
+    force or silence stages in tests. A profile's values are not checked
+    when it is built; the stage functions keep their own guards."""
 
     phase_shift_prob: float = 0.9
     phase_range: tuple[float, float] = (-math.pi, math.pi)
@@ -114,33 +87,6 @@ class ImpairmentProfile:
     resample_prob: float = 0.5
     resample_range: tuple[float, float] = (0.75, 1.5)
     esn0_range_db: tuple[float, float] = (-2.0, 30.0)
-
-    def __post_init__(self) -> None:
-        """Raise TypeError for a field of the wrong type and ValueError for
-        one outside what its stage accepts, so a bad profile fails here
-        rather than at the first impaired example. esn0_range_db may also
-        be (inf, inf): no noise stage."""
-        for name in _PROBABILITIES:
-            prob = getattr(self, name)
-            _check_real(name, prob)
-            if not 0 <= prob <= 1:
-                raise ValueError(f"{name} must be in [0, 1], got {prob!r}")
-        check_int("time_shift_max", self.time_shift_max, 0)
-        for name in _RANGES:
-            pair = getattr(self, name)
-            if name != "esn0_range_db" or pair != (math.inf, math.inf):
-                _check_range(name, pair)
-        for num_taps in self.rayleigh_taps_range:
-            check_int("rayleigh_taps_range", num_taps, 1, 20)
-        if not -0.5 < self.freq_range[0] <= self.freq_range[1] < 0.5:
-            raise ValueError(f"freq_range must lie within (-0.5, 0.5), got {self.freq_range!r}")
-        if not 0.75 <= self.resample_range[0] <= self.resample_range[1] <= 1.5:
-            raise ValueError(f"resample_range must lie within [0.75, 1.5], "
-                             f"got {self.resample_range!r}")
-        for name, limit in _SYMMETRIC_BOUNDS.items():
-            pair = getattr(self, name)
-            if pair != (math.inf, math.inf) and not -limit <= pair[0] <= pair[1] <= limit:
-                raise ValueError(f"{name} must lie within [{-limit}, {limit}], got {pair!r}")
 
 
 DEFAULT_PROFILE = ImpairmentProfile()

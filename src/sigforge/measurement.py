@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sigforge.frame import mean_power
+from sigforge.frame import check_int, mean_power
 
 DB_FLOOR_POWER = 1e-30  # -300 dB, keeps log of empty bins finite
 
@@ -28,8 +28,17 @@ class PsdEstimate:
         return 10.0 ** (self.density_db / 10.0)
 
 
-def _segment_starts(n: int, nfft: int, hop: int) -> range:
-    return range(0, n - nfft + 1, hop)
+def _periodograms(frame: np.ndarray, nfft: int, hop: int) -> np.ndarray:
+    """Linear periodograms of frame's Hann-windowed nfft-sample segments
+    that start every hop samples, shape [segments, nfft], unshifted, each
+    divided by the window's energy."""
+    if nfft > len(frame):
+        raise ValueError(f"nfft {nfft} exceeds frame length {len(frame)}")
+    check_int("hop", hop, 1)
+    window = np.hanning(nfft)
+    starts = np.arange(0, len(frame) - nfft + 1, hop)
+    spectra = np.fft.fft(frame[starts[:, None] + np.arange(nfft)] * window, axis=1)
+    return (spectra.real**2 + spectra.imag**2) / np.sum(window**2)
 
 
 def welch_psd(frame: np.ndarray, nfft: int = 256, overlap: float = 0.5) -> PsdEstimate:
@@ -38,20 +47,10 @@ def welch_psd(frame: np.ndarray, nfft: int = 256, overlap: float = 0.5) -> PsdEs
     Scaled so the linear density sums (times the 1/nfft bin width) to the
     frame's mean power, Parseval-style.
     """
-    if nfft > len(frame):
-        raise ValueError(f"nfft {nfft} exceeds frame length {len(frame)}")
     if not 0.0 <= overlap < 1.0:
         raise ValueError(f"overlap must be in [0, 1), got {overlap}")
-    window = np.hanning(nfft)
     hop = max(1, int(round(nfft * (1.0 - overlap))))
-    norm = np.sum(window**2)
-    acc = np.zeros(nfft)
-    count = 0
-    for start in _segment_starts(len(frame), nfft, hop):
-        spectrum = np.fft.fft(frame[start:start + nfft] * window)
-        acc += (spectrum.real**2 + spectrum.imag**2) / norm
-        count += 1
-    density = np.fft.fftshift(acc / count)
+    density = np.fft.fftshift(_periodograms(frame, nfft, hop).mean(axis=0))
     freqs = (np.arange(nfft) - nfft // 2) / nfft
     return PsdEstimate(
         freqs=freqs,
@@ -64,15 +63,7 @@ def welch_psd(frame: np.ndarray, nfft: int = 256, overlap: float = 0.5) -> PsdEs
 def spectrogram(frame: np.ndarray, nfft: int = 256, hop: int = 128) -> np.ndarray:
     """Short-time log-magnitude matrix, shape [nfft, T] with
     T = floor((len - nfft)/hop) + 1; rows are fftshifted frequencies."""
-    if nfft > len(frame):
-        raise ValueError(f"nfft {nfft} exceeds frame length {len(frame)}")
-    window = np.hanning(nfft)
-    norm = np.sum(window**2)
-    columns = []
-    for start in _segment_starts(len(frame), nfft, hop):
-        spectrum = np.fft.fft(frame[start:start + nfft] * window)
-        columns.append(np.fft.fftshift((spectrum.real**2 + spectrum.imag**2) / norm))
-    power = np.stack(columns, axis=1)
+    power = np.fft.fftshift(_periodograms(frame, nfft, hop), axes=1).T
     return 10.0 * np.log10(np.maximum(power, DB_FLOOR_POWER))
 
 

@@ -9,9 +9,10 @@ import hashlib
 import io
 import itertools
 import json
-import math
+import multiprocessing.pool
 import os
 import shutil
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -52,7 +53,7 @@ from sigforge.dataset import (
     verify_digests,
     write_shards,
 )
-from sigforge.impairments import DEFAULT_PROFILE, NO_IMPAIRMENT_PROFILE, ImpairmentProfile
+from sigforge.impairments import DEFAULT_PROFILE, NO_IMPAIRMENT_PROFILE
 from sigforge.registry import CLASS_LIST, NUM_CLASSES
 from sigforge.rng import derive_stream
 
@@ -103,37 +104,34 @@ _anything = (st.none() | st.booleans() | st.integers(-(2 ** 70), 2 ** 70) | st.f
 @given(variant=_anything | st.sampled_from(VARIANTS),
        examples_per_class=_anything | st.integers(-2, 3),
        dataset_seed=_anything,
-       frame_len=_anything | st.integers(MIN_FRAME_LEN - 2, MIN_FRAME_LEN + 2),
-       profile=_anything | st.just(NO_IMPAIRMENT_PROFILE))
+       frame_len=_anything | st.integers(MIN_FRAME_LEN - 2, MIN_FRAME_LEN + 2))
 def test_config_constructs_or_raises_type_or_value_error(
-        variant, examples_per_class, dataset_seed, frame_len, profile):
+        variant, examples_per_class, dataset_seed, frame_len):
     try:
         config = DatasetConfig(variant=variant, examples_per_class=examples_per_class,
-                               dataset_seed=dataset_seed, frame_len=frame_len,
-                               profile=profile)
+                               dataset_seed=dataset_seed, frame_len=frame_len)
     except (TypeError, ValueError):
         return
     assert config.variant in VARIANTS
     for value in (config.examples_per_class, config.dataset_seed, config.frame_len):
         assert type(value) is int
     assert config.examples_per_class >= 1 and config.frame_len >= MIN_FRAME_LEN
-    assert isinstance(config.profile, ImpairmentProfile)
+    assert config.profile is DEFAULT_PROFILE
     assert config.total_examples == config.examples_per_class * NUM_CLASSES
 
 
-def test_a_bad_profile_fails_at_construction():
-    # before, both constructed and failed only at the first impaired example
-    with pytest.raises(TypeError, match="phase_shift_prob"):
-        DatasetConfig("impaired-train", 1, 0, 64, ImpairmentProfile(phase_shift_prob="x"))
-    with pytest.raises(ValueError, match="resample_range"):
-        ImpairmentProfile(resample_prob=1.0, resample_range=(0.0, 0.0))
-    # a time shift must leave part of the frame
-    with pytest.raises(ValueError, match="time_shift_max"):
-        DatasetConfig("impaired-val", 1, 0, 64, ImpairmentProfile(time_shift_max=64))
-    shifted = ImpairmentProfile(time_shift_prob=1.0, time_shift_max=63)
-    config = DatasetConfig("impaired-val", 1, 0, 64, shifted)
-    iq, _meta = generate_range(config, 0, 4)
-    assert len(iq) == 4 * 64 * 8
+def test_the_profile_is_a_constant_not_a_field():
+    assert [field.name for field in dataclasses.fields(DatasetConfig)] == [
+        "variant", "examples_per_class", "dataset_seed", "frame_len"]
+    assert DatasetConfig.profile is DEFAULT_PROFILE
+    with pytest.raises(TypeError, match="positional arguments"):
+        DatasetConfig("impaired-val", 1, 0, 64, NO_IMPAIRMENT_PROFILE)
+    with pytest.raises(TypeError, match="profile"):
+        DatasetConfig("impaired-val", 1, 0, profile=NO_IMPAIRMENT_PROFILE)
+    # every time shift leaves part of the shortest frame
+    assert DEFAULT_PROFILE.time_shift_max < MIN_FRAME_LEN
+    iq, _meta = generate_range(small_config("impaired-val", frame_len=MIN_FRAME_LEN), 0, 53)
+    assert len(iq) == 53 * MIN_FRAME_LEN * 8
 
 
 def test_reference_totals_documented():
@@ -292,37 +290,21 @@ def test_a_written_manifest_is_what_its_config_derives_plus_shards_and_digests(t
         assert config_from_echo(manifest["config"]) == config
 
 
-def _ordered_pair(values):
-    return st.tuples(values, values).map(lambda pair: tuple(sorted(pair)))
-
-
-_valid_profiles = st.sampled_from([DEFAULT_PROFILE, NO_IMPAIRMENT_PROFILE]) | st.builds(
-    ImpairmentProfile,
-    phase_shift_prob=st.floats(0, 1),
-    time_shift_max=st.integers(0, MIN_FRAME_LEN - 1),
-    freq_range=_ordered_pair(st.floats(-0.49, 0.49)),
-    rayleigh_taps_range=_ordered_pair(st.integers(1, 20)),
-    iq_dc_range=_ordered_pair(st.floats(-10, 10)),
-    resample_range=_ordered_pair(st.floats(0.75, 1.5)),
-    esn0_range_db=_ordered_pair(st.floats(-100, 100)) | st.just((math.inf, math.inf)))
-
-
 @settings(max_examples=200, deadline=None)
 @given(variant=st.sampled_from(VARIANTS),
        examples_per_class=st.integers(1, 10 ** 18),
        dataset_seed=st.integers(-(2 ** 70), 2 ** 70),
-       frame_len=st.integers(MIN_FRAME_LEN, 10 ** 18),
-       profile=_valid_profiles)
+       frame_len=st.integers(MIN_FRAME_LEN, 10 ** 18))
 def test_the_config_echo_survives_a_round_trip(
-        variant, examples_per_class, dataset_seed, frame_len, profile):
-    config = DatasetConfig(variant, examples_per_class, dataset_seed, frame_len, profile)
+        variant, examples_per_class, dataset_seed, frame_len):
+    config = DatasetConfig(variant, examples_per_class, dataset_seed, frame_len)
     echo = config_echo(config)
     assert json.loads(json.dumps(echo)) == echo
     again = config_from_echo(echo)
-    assert config_echo(again) == echo
-    # a clean variant's bytes do not depend on its profile, which the echo drops
-    assert again == (config if config.is_impaired
-                     else dataclasses.replace(config, profile=DEFAULT_PROFILE))
+    assert config_echo(again) == echo and again == config
+    # the one profile, echoed only where the bytes depend on it
+    assert echo["profile"] == (json.loads(json.dumps(dataclasses.asdict(DEFAULT_PROFILE)))
+                               if config.is_impaired else None)
 
 
 def test_write_refuses_nonempty_dir_without_force(tmp_path):
@@ -410,6 +392,28 @@ def test_read_example_random_access(tmp_path, shard_size):
             read_example(tmp_path / "ds", index)
 
 
+@pytest.mark.parametrize("frame_len, iq_size", [
+    (128, 53 * 8 * 256),  # example 3 would be read from the middle of example 1
+    (512, 53 * 8 * 256),  # example 3 would be examples 6 and 7
+    (256, 52 * 8 * 256),  # the last frame cut off
+])
+def test_read_example_refuses_a_shard_whose_size_is_not_its_layouts(
+        tmp_path, capsys, frame_len, iq_size):
+    target = tmp_path / "ds"
+    write_shards(small_config("clean-val", epc=1), target)
+    os.truncate(target / "shard-00000.iq", iq_size)
+    manifest = load_manifest(target)
+    manifest["config"]["frame_len"] = frame_len
+    rewrite_manifest(target, manifest)
+    message = f"shard-00000: {iq_size} IQ bytes but 53 frames of {frame_len} samples"
+    with pytest.raises(ValueError, match=message):
+        read_example(target, 3)
+    with pytest.raises(ValueError, match=message):  # and so does a full read
+        list(read(target))
+    assert main(["inspect", "--in", str(target), "--index", "3", "--meta"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_stored_replay_matches_float32_bytes(tmp_path):
     """Full loop: write impaired shards, read them back, regenerate each
     frame from metadata, compare at the stored float32 resolution."""
@@ -466,6 +470,41 @@ def test_write_shards_forks_its_pool_whatever_the_default_start_method(tmp_path)
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 1
     assert result.stderr.endswith("RuntimeError: patched generate_example ran\n"), result.stderr
+
+
+def test_a_ctrl_c_while_the_pool_forks_leaves_no_worker(monkeypatch):
+    pools, started = [], []
+    real_init, real_start = multiprocessing.pool.Pool.__init__, multiprocessing.context.ForkProcess.start
+
+    def recording_init(pool, *args, **kwargs):
+        pools.append(pool)  # as a caller holding the interrupt's traceback would
+        real_init(pool, *args, **kwargs)
+
+    def start_then_interrupt(process):
+        real_start(process)
+        started.append(process)
+        if len(started) == 1:  # a Ctrl-C between the first fork and the second
+            signal.raise_signal(signal.SIGINT)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", recording_init)
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start_then_interrupt)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            dataset_module.fork_pool(2)
+        assert not [p.pid for p in started if p.is_alive()]
+        assert len(started) == 2  # the interrupt waited for the pool
+    finally:  # whatever a leaked pool left running
+        for pool in pools:
+            if hasattr(pool, "_terminate"):  # a constructed one, with its threads
+                pool.terminate()
+        for process in started:
+            process.terminate()
+            process.join(timeout=30)
+    monkeypatch.undo()
+    pool = dataset_module.fork_pool(2)
+    pool.terminate()
+    pool.join()
+    assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, set())
 
 
 def test_force_removes_the_tmp_files_of_an_interrupted_run(tmp_path):
@@ -639,7 +678,8 @@ def test_validate_fails_digest_on_an_edited_manifest(impaired_dir, tmp_path):
     target = tmp_path / "ds"
     shutil.copytree(impaired_dir, target)
     manifest = load_manifest(target)
-    manifest["config"]["profile"]["resample_prob"] = 0.25
+    # a stored key edited and not re-digested
+    manifest["shards"][1]["iq_sha256"] = manifest["shards"][0]["iq_sha256"]
     (target / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     with pytest.raises(DigestMismatchError, match="manifest digest mismatch"):
         verify_digests(target)
@@ -713,6 +753,8 @@ def test_load_manifest_refuses_another_format_version(tmp_path):
     lambda m: (m["config"].update(examples_per_class=10 ** 18),
                m.update(num_examples=53 * 10 ** 18,
                         per_class_counts=dict.fromkeys(m["per_class_counts"], 10 ** 18))),
+    # a valid profile, but not the one every impaired config has
+    lambda m: m["config"]["profile"].update(resample_prob=0.25),
 ])
 def test_load_manifest_refuses_a_manifest_without_what_readers_use(
         impaired_dir, tmp_path, monkeypatch, capsys, edit):

@@ -5,8 +5,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sigforge.dataset import MIN_FRAME_LEN
 from sigforge.impairments import (
@@ -321,56 +319,12 @@ def test_no_impairment_profile_is_identity():
     assert rng.counter == 6  # the six gate draws, nothing else
 
 
-_PROBABILITIES = ("phase_shift_prob", "time_shift_prob", "freq_shift_prob",
-                  "rayleigh_prob", "iq_imbalance_prob", "resample_prob")
-_RANGES = ("phase_range", "freq_range", "rayleigh_taps_range", "iq_amp_range_db",
-           "iq_phase_range", "iq_dc_range", "resample_range", "esn0_range_db")
-ALWAYS_ON = dict.fromkeys(_PROBABILITIES, 1.0)
-
-
-@pytest.mark.parametrize("field, value, error", [
-    ("phase_shift_prob", "x", TypeError),
-    ("phase_shift_prob", True, TypeError),
-    ("phase_shift_prob", None, TypeError),
-    ("resample_prob", 1.5, ValueError),
-    ("rayleigh_prob", -0.1, ValueError),
-    ("iq_imbalance_prob", math.nan, ValueError),
-    ("time_shift_max", -1, ValueError),
-    ("time_shift_max", 3.0, TypeError),
-    ("phase_range", [-1.0, 1.0], TypeError),
-    ("phase_range", (0.0,), TypeError),
-    ("phase_range", (0.0, "1"), TypeError),
-    ("phase_range", (0.0, math.inf), ValueError),
-    ("iq_dc_range", (0.1, -0.1), ValueError),
-    ("iq_amp_range_db", (math.nan, 1.0), ValueError),
-    ("freq_range", (-0.5, 0.1), ValueError),
-    ("freq_range", (-0.1, 0.5), ValueError),
-    ("rayleigh_taps_range", (0, 20), ValueError),
-    ("rayleigh_taps_range", (2, 21), ValueError),
-    ("rayleigh_taps_range", (2.0, 20), TypeError),
-    ("rayleigh_taps_range", (5, 2), ValueError),
-    ("resample_range", (0.0, 0.0), ValueError),
-    ("resample_range", (0.75, 1.6), ValueError),
-    ("resample_range", (1.5, 0.75), ValueError),
-    ("esn0_range_db", (-math.inf, -math.inf), ValueError),
-    ("esn0_range_db", (10.0, math.inf), ValueError),
-    ("esn0_range_db", (30.0, -2.0), ValueError),
-    # finite values whose stage overflowed at the first impaired example
-    ("phase_range", (-1e308, 1e308), ValueError),
-    ("iq_amp_range_db", (2e4, 2e4), ValueError),
-    ("iq_amp_range_db", (-40.5, 0.0), ValueError),
-    ("iq_dc_range", (1e200, 1e200), ValueError),
-    ("iq_dc_range", (0.0, 10.5), ValueError),
-    ("esn0_range_db", (-1e300, -1e300), ValueError),
-    ("esn0_range_db", (-1e308, 1e308), ValueError),
-    ("esn0_range_db", (0.0, 100.5), ValueError),
-])
-def test_profile_refuses_a_bad_field(field, value, error):
-    with pytest.raises(error, match=field):
-        ImpairmentProfile(**{field: value})
+ALWAYS_ON = dict.fromkeys(("phase_shift_prob", "time_shift_prob", "freq_shift_prob",
+                           "rayleigh_prob", "iq_imbalance_prob", "resample_prob"), 1.0)
 
 
 def test_profile_at_its_bounds_runs_the_chain():
+    # at the edges of what each stage accepts, at the shortest frame
     for esn0 in (-100.0, 5.0, 100.0):
         profile = ImpairmentProfile(
             **ALWAYS_ON, time_shift_max=MIN_FRAME_LEN - 1, phase_range=(-1e307, 1e307),
@@ -382,41 +336,6 @@ def test_profile_at_its_bounds_runs_the_chain():
             impaired, record = apply_impairment_chain(clean, desc, profile, derive_stream(31, i))
             assert len(impaired) == MIN_FRAME_LEN and record.target_esn0_db == esn0
             assert np.all(np.isfinite(impaired))
-
-
-_junk = (st.none() | st.booleans() | st.text(max_size=3) | st.floats()
-         | st.integers(-(2 ** 70), 2 ** 70) | st.lists(st.floats(-2, 2), max_size=3))
-_real = (st.integers(-25, 25) | st.floats(-2.0, 2.0)
-         | st.sampled_from([-0.5, 0.5, 0.75, 1.5, 1e308, -1e308, math.inf, -math.inf, math.nan]))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.fixed_dictionaries({}, optional={
-    **{name: _junk | st.floats(-0.5, 1.5) for name in _PROBABILITIES},
-    "time_shift_max": _junk | st.integers(-2, 40),
-    **{name: _junk | st.tuples(_real, _real) | st.tuples(_real) for name in _RANGES},
-}))
-def test_profile_constructs_or_raises_type_or_value_error(fields):
-    try:
-        profile = ImpairmentProfile(**fields)
-    except (TypeError, ValueError):
-        return
-    for name in _PROBABILITIES:
-        prob = getattr(profile, name)
-        assert type(prob) in (int, float) and 0 <= prob <= 1
-    assert type(profile.time_shift_max) is int and profile.time_shift_max >= 0
-    for name in _RANGES:
-        lo, hi = getattr(profile, name)
-        assert type(lo) in (int, float) and type(hi) in (int, float)
-        if name != "esn0_range_db" or lo != math.inf:
-            assert math.isfinite(lo) and lo <= hi and math.isfinite(hi - lo)
-    for name, limit in {"iq_amp_range_db": 40, "iq_dc_range": 10, "esn0_range_db": 100}.items():
-        lo, hi = getattr(profile, name)
-        assert (lo, hi) == (math.inf, math.inf) or -limit <= lo <= hi <= limit
-    assert profile.esn0_range_db[1] != math.inf or profile.esn0_range_db[0] == math.inf
-    assert -0.5 < profile.freq_range[0] and profile.freq_range[1] < 0.5
-    assert all(type(t) is int and 1 <= t <= 20 for t in profile.rayleigh_taps_range)
-    assert 0.75 <= profile.resample_range[0] and profile.resample_range[1] <= 1.5
 
 
 def test_always_on_profile_emits_all_steps_in_order():
