@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     val = sub.add_parser("validate", help="integrity checks on a dataset dir")
     val.add_argument("--in", dest="in_dir", required=True)
     val.add_argument("--sample", type=int, default=20,
-                     help="examples to replay/measure (default 20)")
+                     help="examples to regenerate and compare (default 20)")
     val.set_defaults(func=_cmd_validate)
 
     srv = sub.add_parser("serve", help="run the online batch server")

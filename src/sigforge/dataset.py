@@ -72,7 +72,7 @@ from sigforge.impairments import (
     ImpairmentProfile,
     ImpairmentRecord,
     apply_impairment_chain,
-    replay_with_pre_noise,
+    replay_impairments,
     synthesize_impaired_source,
 )
 from sigforge.registry import CLASS_LIST, NUM_CLASSES
@@ -171,19 +171,19 @@ def derive_manifest(config: DatasetConfig) -> dict:
             "per_class_counts": {cls.name: config.examples_per_class for cls in CLASS_LIST}}
 
 
-def generate_example(index: int, class_index: int, rng: RngStream,
-                     config: DatasetConfig) -> tuple[np.ndarray, dict]:
-    """Produce one frame and its metadata. Pure function of its arguments:
-    clean variants synthesize the fixed-shaping waveform only; impaired
-    variants draw randomized pulse shaping, then the impairment chain."""
+def _example(index: int, class_index: int, rng: RngStream, config: DatasetConfig
+             ) -> tuple[np.ndarray, dict, np.ndarray | None]:
+    """generate_example's frame and metadata, and the unit-power frame that
+    entered the AWGN stage (None for a clean variant), from one pass: the
+    one path from an example's stream to its bytes, which validate reruns."""
     if config.is_impaired:
         source, descriptor, shaping = synthesize_impaired_source(
             class_index, rng, config.frame_len)
-        frame, record = apply_impairment_chain(
+        frame, pre_noise, record = apply_impairment_chain(
             source, descriptor, config.profile, rng)
     else:
         frame, descriptor = gen_clean(class_index, rng, config.frame_len)
-        shaping, record = {}, None
+        pre_noise = None
     cls = CLASS_LIST[class_index]
     meta = {
         "index": index,
@@ -193,31 +193,28 @@ def generate_example(index: int, class_index: int, rng: RngStream,
         "samples_per_symbol": descriptor.samples_per_symbol,
         "rng_key": rng.key,
     }
-    if record is not None:
-        meta["snr_db"] = record.target_esn0_db
-        meta["shaping"] = shaping
-        meta["record"] = record.to_dict()
-    return frame, meta
+    if config.is_impaired:
+        meta.update(snr_db=record.target_esn0_db, shaping=shaping, record=record.to_dict())
+    return frame, meta, pre_noise
 
 
-def _replay(meta: dict, frame_len: int
-            ) -> tuple[np.ndarray, np.ndarray | None, ImpairmentRecord | None]:
-    """(replayed frame, its pre-noise frame, record) of a stored example,
-    from one pass; clean ones get None twice."""
-    rng = RngStream(int(meta["rng_key"]))
-    class_index = int(meta["class_index"])
-    if "record" in meta:
-        source, _descriptor, _shaping = synthesize_impaired_source(
-            class_index, rng, frame_len)
-        record = ImpairmentRecord.from_dict(meta["record"])
-        return *replay_with_pre_noise(source, record), record
-    frame, _descriptor = gen_clean(class_index, rng, frame_len)
-    return frame, None, None
+def generate_example(index: int, class_index: int, rng: RngStream,
+                     config: DatasetConfig) -> tuple[np.ndarray, dict]:
+    """Produce one frame and its metadata. Pure function of its arguments:
+    clean variants synthesize the fixed-shaping waveform only; impaired
+    variants draw randomized pulse shaping, then the impairment chain."""
+    return _example(index, class_index, rng, config)[:2]
 
 
 def replay_example(meta: dict, frame_len: int = FRAME_LEN) -> np.ndarray:
-    """Regenerate a stored example (float64) from its metadata alone."""
-    return _replay(meta, frame_len)[0]
+    """Rebuild a stored example (float64) from its metadata alone, taking
+    its impairment record as stored; validate does not use it, as it
+    regenerates each example from (dataset_seed, index) instead."""
+    rng, class_index = RngStream(int(meta["rng_key"])), int(meta["class_index"])
+    if "record" not in meta:
+        return gen_clean(class_index, rng, frame_len)[0]
+    source, _descriptor, _shaping = synthesize_impaired_source(class_index, rng, frame_len)
+    return replay_impairments(source, ImpairmentRecord.from_dict(meta["record"]))
 
 
 def frame_to_bytes(frame: np.ndarray) -> bytes:
@@ -244,7 +241,7 @@ def bytes_to_frames(raw: bytes, frame_len: int) -> np.ndarray:
 
 
 def meta_to_line(meta: dict) -> bytes:
-    return (json.dumps(meta, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
+    return (_canonical(meta) + "\n").encode("utf-8")
 
 
 def generate_range(config: DatasetConfig, start: int, count: int) -> tuple[bytes, bytes]:
@@ -552,20 +549,22 @@ def read_example(dataset_dir: str | Path, index: int,
     return bytes_to_frames(raw, frame_len)[0], json.loads(line)
 
 
-def _examples(root: str | Path, manifest: dict, verify: bool) -> Iterator[tuple[np.ndarray, dict]]:
-    """(complex64 frame, meta) in index order, from one _shards pass."""
+def _examples(root: str | Path, manifest: dict, verify: bool) -> Iterator[tuple[np.ndarray, str]]:
+    """(complex64 frame, meta line as stored, without its newline) in
+    index order, from one _shards pass."""
     frame_len = manifest["config"]["frame_len"]
     for name, iq_bytes, meta_bytes in _shards(root, manifest, verify):
-        metas = [json.loads(line) for line in meta_bytes.decode("utf-8").splitlines()]
-        _check_iq_size(name, len(iq_bytes), frame_len, len(metas))
-        yield from zip(bytes_to_frames(iq_bytes, frame_len), metas)
+        lines = meta_bytes.decode("utf-8").splitlines()
+        _check_iq_size(name, len(iq_bytes), frame_len, len(lines))
+        yield from zip(bytes_to_frames(iq_bytes, frame_len), lines)
 
 
 def read(dataset_dir: str | Path, validate_digest: bool = False
          ) -> Iterator[tuple[np.ndarray, dict]]:
     """Yield (complex64 frame, meta) in index order; with validate_digest,
     only from verified shards, raising DigestMismatchError as _shards does."""
-    yield from _examples(dataset_dir, load_manifest(dataset_dir), validate_digest)
+    for frame, line in _examples(dataset_dir, load_manifest(dataset_dir), validate_digest):
+        yield frame, json.loads(line)
 
 
 @dataclass(frozen=True)
@@ -586,29 +585,36 @@ def _sample_indices(total: int, want: int) -> list[int]:
 def validate(dataset_dir: str | Path, sample: int = 20) -> list[CheckResult]:
     """Check a dataset in one read pass over verified bytes: digest (the
     only result if it fails, as every later check reads those bytes),
-    class-balance, replay of `sample` evenly spread examples, their Es/N0
-    within 0.2 dB of target (impaired) and envelope within 1e-6, the
-    float32 rounding budget, of constant (clean FSK). Raises ValueError if
-    sample is negative or the manifest is of another format or malformed
-    (UnsupportedFormatError, ManifestError), FileNotFoundError without one."""
+    class-balance, replay: `sample` evenly spread examples regenerated from
+    (dataset_seed, index) and compared with the stored IQ and meta line,
+    nothing stored trusted; then, of those regenerated, Es/N0 within 0.2 dB
+    of target (impaired) and the stored envelope within 1e-6, the float32
+    rounding budget, of constant (clean FSK). A failing replay names the
+    first indices that differ. Raises ValueError if sample is negative or
+    the manifest is of another format or malformed (UnsupportedFormatError,
+    ManifestError), FileNotFoundError without one."""
     check_int("sample", sample, 0)
     manifest = load_manifest(dataset_dir)
+    config = config_from_echo(manifest["config"])
     sampled = set(_sample_indices(manifest["num_examples"], sample))
-    in_order, replay_ok, position = True, True, 0
+    in_order, differing, position = True, [], 0
     snr_errors, envelopes = [], []
     try:
-        for frame32, meta in _examples(dataset_dir, manifest, verify=True):
-            if meta["index"] != position or meta["class_index"] != position % NUM_CLASSES:
+        for frame32, line in _examples(dataset_dir, manifest, verify=True):
+            meta = json.loads(line)
+            if not (isinstance(meta, dict) and meta.get("index") == position
+                    and meta.get("class_index") == position % NUM_CLASSES):
                 in_order = False
             if position in sampled:
-                frame, pre_noise, record = _replay(meta, manifest["config"]["frame_len"])
-                replay_ok = replay_ok and frame_to_bytes(frame) == frame32.tobytes()
-                awgn = record and next((s for s in record.steps if s.kind == "awgn"), None)
-                if awgn is not None:
+                frame, want, pre_noise = _example(position, position % NUM_CLASSES,
+                                                  derive_stream(config.dataset_seed, position), config)
+                if frame_to_bytes(frame) != frame32.tobytes() or _canonical(want) != line:
+                    differing.append(position)
+                if pre_noise is not None:
                     measured = measurement.measure_esn0(
-                        pre_noise, frame - pre_noise, awgn.params["samples_per_symbol"])
-                    snr_errors.append(abs(measured - record.target_esn0_db))
-                elif record is None and meta["family"] == "fsk":
+                        pre_noise, frame - pre_noise, want["samples_per_symbol"])
+                    snr_errors.append(abs(measured - want["snr_db"]))
+                elif want["family"] == "fsk":
                     envelopes.append(measurement.envelope_constancy(frame32.astype(np.complex128)))
             position += 1
     except (DigestMismatchError, FileNotFoundError) as exc:
@@ -617,10 +623,11 @@ def validate(dataset_dir: str | Path, sample: int = 20) -> list[CheckResult]:
     # with example i of class i mod 53 throughout, balance is a matter of
     # count; load_manifest has checked num_examples against the config
     balanced = in_order and position == manifest["num_examples"]
+    first = f"; first differing: {', '.join(map(str, differing[:5]))}" if differing else ""
     results = [CheckResult("digest", True),
                CheckResult("class-balance", balanced, f"{position} examples, "
-                           f"{manifest['config']['examples_per_class']} per class expected"),
-               CheckResult("replay", replay_ok, f"{len(sampled)} sampled")]
+                           f"{config.examples_per_class} per class expected"),
+               CheckResult("replay", not differing, f"{len(sampled)} sampled{first}")]
     if snr_errors:
         results.append(CheckResult(
             "snr-calibration", all(e <= 0.2 for e in snr_errors),

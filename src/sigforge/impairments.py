@@ -2,12 +2,14 @@
 impairment chain.
 
 The chain is split into *plan* (every random draw, logged as steps) and
-*apply* (pure functions of the logged parameters), so any impaired frame
-can be replayed bit-exactly from its ImpairmentRecord and the clean
-source. Application order is fixed: phase shift, time shift, frequency
-shift, Rayleigh channel, IQ imbalance, resample — each behind an
-independent Bernoulli gate — then AWGN at the drawn Es/N0 target last,
-so the target holds at the output.
+*apply* (pure functions of the logged parameters). Application order is
+fixed: phase shift, time shift, frequency shift, Rayleigh channel, IQ
+imbalance, resample — each behind an independent Bernoulli gate — then
+AWGN at the drawn Es/N0 target last, so the target holds at the output.
+An impaired example's metadata stores its record as a description;
+dataset.validate checks a stored example by drawing it again from its
+RNG stream, never by trusting that record. replay_impairments re-applies
+a record to the clean source bit-exactly.
 
 Resampling, in the chain and on the FSK bandwidth path, is fractional:
 every rate is served by one windowed-sinc filter bank designed at import,
@@ -397,13 +399,16 @@ def pre_noise_frame(clean: np.ndarray, record: ImpairmentRecord) -> np.ndarray:
 
 def apply_impairment_chain(clean: np.ndarray, descriptor: SignalDescriptor,
                            profile: ImpairmentProfile, rng: RngStream
-                           ) -> tuple[np.ndarray, ImpairmentRecord]:
-    """Draw and apply one impairment chain; every draw lands in the
-    returned record, including the noise stream snapshot, so
-    ``replay_impairments(clean, record)`` reproduces the frame exactly.
+                           ) -> tuple[np.ndarray, np.ndarray, ImpairmentRecord]:
+    """Draw and apply one impairment chain. Returns (impaired frame,
+    pre-noise frame, record), the frames of replay_with_pre_noise: the
+    pre-noise frame is the unit-power frame as it entered the AWGN stage,
+    which the Es/N0 check measures against, and the record holds every
+    draw, including the noise stream snapshot.
     The frame is re-normalized to unit power right before the noise
     stage so the drawn Es/N0 target is exact at the output; an infinite
-    target adds no noise stage."""
+    target adds no noise stage, and the pre-noise frame is then the
+    normalised output."""
     steps, esn0 = draw_impairment_plan(profile, rng)
     if math.isfinite(esn0):
         steps.append(ImpairmentStep("awgn", {
@@ -414,4 +419,4 @@ def apply_impairment_chain(clean: np.ndarray, descriptor: SignalDescriptor,
         }))
         rng.counter += 2 * len(clean)  # the noise draws, made from that snapshot
     record = ImpairmentRecord(steps=tuple(steps), target_esn0_db=esn0)
-    return replay_impairments(clean, record), record
+    return *replay_with_pre_noise(clean, record), record

@@ -31,13 +31,10 @@ from sigforge.filters import gaussian_taps, rrc_taps
 from sigforge.fsk import fsk_spec, gen_fsk
 from sigforge.impairments import (
     DEFAULT_PROFILE,
-    ImpairmentRecord,
     add_awgn,
     apply_impairment_chain,
     freq_shift,
-    pre_noise_frame,
     random_resample,
-    synthesize_impaired_source,
 )
 from sigforge.linear import gen_linear_mod, matched_filter_demod, num_symbols
 from sigforge.measurement import (
@@ -48,7 +45,7 @@ from sigforge.measurement import (
 )
 from sigforge.ofdm import OfdmSpec, gen_ofdm, ofdm_symbol_stream
 from sigforge.registry import CLASS_LIST, NUM_CLASSES, SignalDescriptor
-from sigforge.rng import RngStream, derive_stream
+from sigforge.rng import derive_stream
 from sigforge.server import BatchServer, request_batch
 
 # --- pinned tolerances -------------------------------------------------------
@@ -151,22 +148,18 @@ def test_criterion_2_class_conformance(ds1060):
 
 
 def test_criterion_3_snr_calibration(ds1060):
+    # each example regenerated from (dataset_seed, index) through the
+    # hand-off validate uses, which gives the frame as it entered AWGN
     ref_dir, _ = ds1060
-    manifest = ds.load_manifest(ref_dir)
+    config = ds.config_from_echo(ds.load_manifest(ref_dir)["config"])
     targets = []
     worst = 0.0
     for index in range(530):
-        _frame32, meta = ds.read_example(ref_dir, index, manifest)
-        record = ImpairmentRecord.from_dict(meta["record"])
-        awgn = next(s for s in record.steps if s.kind == "awgn")
-        rng = RngStream(int(meta["rng_key"]))
-        source, _d, _s = synthesize_impaired_source(meta["class_index"], rng)
-        impaired = ds.replay_example(meta)
-        signal = pre_noise_frame(source, record)
-        measured = measure_esn0(signal, impaired - signal,
-                                awgn.params["samples_per_symbol"])
-        worst = max(worst, abs(measured - record.target_esn0_db))
-        targets.append(record.target_esn0_db)
+        impaired, meta, signal = ds._example(
+            index, index % NUM_CLASSES, derive_stream(config.dataset_seed, index), config)
+        measured = measure_esn0(signal, impaired - signal, meta["samples_per_symbol"])
+        worst = max(worst, abs(measured - meta["snr_db"]))
+        targets.append(meta["snr_db"])
     ks = scipy.stats.kstest(targets, scipy.stats.uniform(loc=-2.0, scale=32.0).cdf)
     record_criterion(
         "3-snr-calibration",
@@ -185,7 +178,7 @@ def test_criterion_4_gate_rates():
     frame = np.exp(2j * np.pi * 0.05 * np.arange(64))  # unit power
     descriptor = SignalDescriptor(4, "qpsk", "psk", 2.0)
     for i in range(trials):
-        _impaired, record = apply_impairment_chain(
+        _impaired, _pre_noise, record = apply_impairment_chain(
             frame, descriptor, DEFAULT_PROFILE, derive_stream(0xACCE97, i))
         for step in record.steps:
             if step.kind in counts:

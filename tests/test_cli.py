@@ -1,6 +1,7 @@
 """End-user command flows, exercised through main(argv)."""
 
 import errno
+import hashlib
 import json
 import os
 import select
@@ -256,6 +257,30 @@ def test_validate_detects_corruption(tmp_path, capsys):
     shard.write_bytes(bytes(blob))
     assert run(["validate", "--in", str(out)]) == 1
     assert "digest: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", [b"{}\n", b"[]\n"])
+def test_validate_reports_a_meta_line_without_fields_as_failures(impaired_ds, tmp_path, capsys, line):
+    # example 5's meta line replaced and every digest recomputed
+    target = tmp_path / "ds"
+    shutil.copytree(impaired_ds, target)
+    meta_path = target / "shard-00000.meta.jsonl"
+    lines = meta_path.read_bytes().splitlines(keepends=True)
+    lines[5] = line
+    meta_path.write_bytes(b"".join(lines))
+    manifest = json.loads((target / "manifest.json").read_text())
+    manifest["shards"][0]["meta_sha256"] = hashlib.sha256(meta_path.read_bytes()).hexdigest()
+    manifest["manifest_sha256"] = manifest_digest(manifest)
+    (target / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    capsys.readouterr()
+    assert run(["validate", "--in", str(target), "--sample", "53"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[:3] == ["digest: PASS",
+                         "class-balance: FAIL  (53 examples, 1 per class expected)",
+                         "replay: FAIL  (53 sampled; first differing: 5)"]
+    assert len(lines) == 4 and lines[3].startswith("snr-calibration: PASS  (53 sampled, ")
 
 
 def test_validate_missing_dir(tmp_path, capsys):

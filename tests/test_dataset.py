@@ -615,6 +615,19 @@ def tampered_copy(source, target, index, change):
     return target
 
 
+def redigest(target):
+    """Recompute every shard digest, the overall digest and the manifest
+    digest of the dataset at target, so every digest check passes."""
+    manifest = load_manifest(target)
+    for entry in manifest["shards"]:
+        for kind, suffix in (("iq", ".iq"), ("meta", ".meta.jsonl")):
+            entry[f"{kind}_sha256"] = hashlib.sha256(
+                (target / f"{entry['name']}{suffix}").read_bytes()).hexdigest()
+    manifest["digest_sha256"] = hashlib.sha256(b"".join(
+        (target / f"{entry['name']}.iq").read_bytes() for entry in manifest["shards"])).hexdigest()
+    rewrite_manifest(target, manifest)
+
+
 def verdicts(results):
     return {r.name: r.ok for r in results}
 
@@ -634,14 +647,55 @@ def test_validate_fails_replay_on_a_wrong_rng_key(impaired_dir, tmp_path):
         meta["rng_key"] += 1
     target = tampered_copy(impaired_dir, tmp_path / "ds", 21, change)
     verify_digests(target)
-    got = verdicts(validate(target, sample=53))
-    assert got["digest"] and got["class-balance"]
-    assert not got["replay"]
+    results = validate(target, sample=53)
+    assert verdicts(results) == {"digest": True, "class-balance": True,
+                                 "replay": False, "snr-calibration": True}
+    assert results[2] == CheckResult("replay", False, "53 sampled; first differing: 21")
 
 
-def test_validate_fails_snr_on_a_shifted_target(impaired_dir, tmp_path):
-    # the AWGN step replays from its own esn0_db, so the frame still
-    # replays while the measured Es/N0 is 1 dB off the recorded target
+def test_validate_fails_replay_on_a_consistently_tampered_record(impaired_dir, tmp_path):
+    # phi edited, the IQ rewritten by replaying the edited record, and every
+    # digest recomputed: only regenerating from (dataset_seed, index) shows it
+    index = next(meta["index"] for _frame, meta in read(impaired_dir)
+                 if meta["record"]["steps"][0]["kind"] == "phase_shift")
+
+    def change(meta):
+        meta["record"]["steps"][0]["params"]["phi"] += 0.5
+    target = tampered_copy(impaired_dir, tmp_path / "ds", index, change)
+    replayed = frame_to_bytes(replay_example(read_example(target, index)[1], 256))
+    assert replayed != read_example(impaired_dir, index)[0].tobytes()
+    shard, offset = divmod(index, IMPAIRED_SHARD_SIZE)
+    with open(target / f"shard-{shard:05d}.iq", "r+b") as fh:
+        fh.seek(offset * 8 * 256)
+        fh.write(replayed)
+    redigest(target)
+    verify_digests(target)
+    assert read_example(target, index)[0].tobytes() == replayed
+    results = validate(target, sample=53)
+    assert verdicts(results) == {"digest": True, "class-balance": True,
+                                 "replay": False, "snr-calibration": True}
+    assert results[2] == CheckResult("replay", False, f"53 sampled; first differing: {index}")
+
+
+def test_validate_fails_replay_on_re_digested_iq(impaired_dir, tmp_path):
+    # one sample of example 30 changed, its meta line left as it was
+    target = tmp_path / "ds"
+    shutil.copytree(impaired_dir, target)
+    iq_path = target / "shard-00001.iq"
+    blob = bytearray(iq_path.read_bytes())
+    blob[(30 - IMPAIRED_SHARD_SIZE) * 8 * 256] ^= 0x01
+    iq_path.write_bytes(bytes(blob))
+    redigest(target)
+    results = validate(target, sample=53)
+    assert verdicts(results) == {"digest": True, "class-balance": True,
+                                 "replay": False, "snr-calibration": True}
+    assert results[2].detail == "53 sampled; first differing: 30"
+
+
+def test_validate_fails_snr_on_a_shifted_target(impaired_dir, tmp_path, monkeypatch):
+    # a recorded target edited and re-digested is a meta line that differs
+    # from the regenerated one: a replay failure; the target validate
+    # measures against is the regenerated one, which still holds
     index = next(meta["index"] for _frame, meta in read(impaired_dir)
                  if any(s["kind"] == "awgn" for s in meta["record"]["steps"]))
 
@@ -650,7 +704,15 @@ def test_validate_fails_snr_on_a_shifted_target(impaired_dir, tmp_path):
     target = tampered_copy(impaired_dir, tmp_path / "ds", index, change)
     got = verdicts(validate(target, sample=53))
     assert got == {"digest": True, "class-balance": True,
-                   "replay": True, "snr-calibration": False}
+                   "replay": False, "snr-calibration": True}
+    # a measurement 1 dB off every target fails calibration alone
+    measure_esn0 = dataset_module.measurement.measure_esn0
+    monkeypatch.setattr(dataset_module.measurement, "measure_esn0",
+                        lambda *args: measure_esn0(*args) + 1.0)
+    results = validate(impaired_dir, sample=53)
+    assert verdicts(results) == {"digest": True, "class-balance": True,
+                                 "replay": True, "snr-calibration": False}
+    assert results[3].detail == "53 sampled, worst |error| 1.000 dB"
 
 
 def test_validate_fails_balance_on_a_wrong_count(impaired_dir, tmp_path):
@@ -663,11 +725,7 @@ def test_validate_fails_balance_on_a_wrong_count(impaired_dir, tmp_path):
     iq_path, meta_path = target / f"{last['name']}.iq", target / f"{last['name']}.meta.jsonl"
     iq_path.write_bytes(iq_path.read_bytes()[:-8 * 256])
     meta_path.write_bytes(b"".join(meta_path.read_bytes().splitlines(keepends=True)[:-1]))
-    last["iq_sha256"] = hashlib.sha256(iq_path.read_bytes()).hexdigest()
-    last["meta_sha256"] = hashlib.sha256(meta_path.read_bytes()).hexdigest()
-    manifest["digest_sha256"] = hashlib.sha256(b"".join(
-        (target / f"{entry['name']}.iq").read_bytes() for entry in manifest["shards"])).hexdigest()
-    rewrite_manifest(target, manifest)
+    redigest(target)
     verify_digests(target)
     results = validate(target, sample=4)
     assert results[1] == CheckResult("class-balance", False, "52 examples, 1 per class expected")

@@ -312,7 +312,7 @@ def test_no_impairment_profile_is_identity():
     clean = tone(0.07)
     desc = SignalDescriptor(4, "qpsk", "psk", 2.0)
     rng = derive_stream(11, 0)
-    impaired, record = apply_impairment_chain(clean, desc, NO_IMPAIRMENT_PROFILE, rng)
+    impaired, _, record = apply_impairment_chain(clean, desc, NO_IMPAIRMENT_PROFILE, rng)
     np.testing.assert_array_equal(impaired, clean)
     assert record.steps == ()
     assert record.target_esn0_db == math.inf
@@ -333,7 +333,7 @@ def test_profile_at_its_bounds_runs_the_chain():
             iq_dc_range=(-10.0, 10.0), resample_range=(0.75, 1.5), esn0_range_db=(esn0, esn0))
         for i in range(20):
             clean, desc, _ = synthesize_impaired_source(i, derive_stream(30, i), MIN_FRAME_LEN)
-            impaired, record = apply_impairment_chain(clean, desc, profile, derive_stream(31, i))
+            impaired, _, record = apply_impairment_chain(clean, desc, profile, derive_stream(31, i))
             assert len(impaired) == MIN_FRAME_LEN and record.target_esn0_db == esn0
             assert np.all(np.isfinite(impaired))
 
@@ -386,7 +386,7 @@ def test_time_shift_draw_includes_both_endpoints():
 def test_chain_replay_is_bit_exact():
     for i in range(10):
         clean, desc, _ = synthesize_impaired_source(i * 5 % 53, derive_stream(15, i))
-        impaired, record = apply_impairment_chain(
+        impaired, _, record = apply_impairment_chain(
             clean, desc, DEFAULT_PROFILE, derive_stream(16, i))
         again = replay_impairments(clean, record)
         np.testing.assert_array_equal(impaired, again)
@@ -400,7 +400,8 @@ def test_chain_replay_is_bit_exact():
 def test_replay_with_pre_noise_is_one_pass_of_both(profile):
     for i in range(8):
         clean, desc, _ = synthesize_impaired_source(i * 7 % 53, derive_stream(22, i))
-        impaired, record = apply_impairment_chain(clean, desc, profile, derive_stream(23, i))
+        impaired, pre_noise, record = apply_impairment_chain(
+            clean, desc, profile, derive_stream(23, i))
         reference = clean  # one single-step record at a time
         for step in record.steps:
             reference = replay_impairments(
@@ -409,12 +410,13 @@ def test_replay_with_pre_noise_is_one_pass_of_both(profile):
         np.testing.assert_array_equal(frame, impaired)
         np.testing.assert_array_equal(frame, reference)
         np.testing.assert_array_equal(signal, pre_noise_frame(clean, record))
+        np.testing.assert_array_equal(signal, pre_noise)
 
 
 def test_record_survives_json_round_trip():
     clean, desc, _ = synthesize_impaired_source(17, derive_stream(17, 0))
-    impaired, record = apply_impairment_chain(clean, desc, DEFAULT_PROFILE,
-                                              derive_stream(17, 1))
+    impaired, _, record = apply_impairment_chain(clean, desc, DEFAULT_PROFILE,
+                                                 derive_stream(17, 1))
     blob = json.dumps(record.to_dict())
     revived = ImpairmentRecord.from_dict(json.loads(blob))
     np.testing.assert_array_equal(replay_impairments(clean, revived), impaired)
@@ -422,8 +424,8 @@ def test_record_survives_json_round_trip():
 
 def test_pre_noise_frame_is_unit_power_and_consistent():
     clean, desc, _ = synthesize_impaired_source(8, derive_stream(18, 0))
-    impaired, record = apply_impairment_chain(clean, desc, DEFAULT_PROFILE,
-                                              derive_stream(18, 1))
+    impaired, _, record = apply_impairment_chain(clean, desc, DEFAULT_PROFILE,
+                                                 derive_stream(18, 1))
     pre = pre_noise_frame(clean, record)
     assert mean_power(pre) == pytest.approx(1.0, rel=1e-12)
     noise = impaired - pre
@@ -437,8 +439,8 @@ def test_chain_measured_esn0_matches_target_exactly():
     worst = 0.0
     for i in range(25):
         clean, desc, _ = synthesize_impaired_source(i * 2 % 53, derive_stream(19, i))
-        impaired, record = apply_impairment_chain(clean, desc, DEFAULT_PROFILE,
-                                                  derive_stream(20, i))
+        impaired, _, record = apply_impairment_chain(clean, desc, DEFAULT_PROFILE,
+                                                     derive_stream(20, i))
         pre = pre_noise_frame(clean, record)
         got = measure_esn0(pre, impaired - pre, desc.samples_per_symbol)
         worst = max(worst, abs(got - record.target_esn0_db))
@@ -449,11 +451,11 @@ def test_chain_advances_rng_deterministically():
     """Two consecutive chains from one stream replay identically."""
     clean, desc, _ = synthesize_impaired_source(3, derive_stream(21, 0))
     rng = derive_stream(21, 1)
-    a1, r1 = apply_impairment_chain(clean, desc, DEFAULT_PROFILE, rng)
-    a2, r2 = apply_impairment_chain(clean, desc, DEFAULT_PROFILE, rng)
+    a1, _, r1 = apply_impairment_chain(clean, desc, DEFAULT_PROFILE, rng)
+    a2, _, r2 = apply_impairment_chain(clean, desc, DEFAULT_PROFILE, rng)
     rng2 = derive_stream(21, 1)
-    b1, _ = apply_impairment_chain(clean, desc, DEFAULT_PROFILE, rng2)
-    b2, _ = apply_impairment_chain(clean, desc, DEFAULT_PROFILE, rng2)
+    b1, _, _ = apply_impairment_chain(clean, desc, DEFAULT_PROFILE, rng2)
+    b2, _, _ = apply_impairment_chain(clean, desc, DEFAULT_PROFILE, rng2)
     np.testing.assert_array_equal(a1, b1)
     np.testing.assert_array_equal(a2, b2)
     assert r1 != r2
@@ -463,7 +465,7 @@ def test_chain_advances_rng_past_its_noise_draws():
     # the next draw from the stream must not reuse a word the noise drew
     clean, desc, _ = synthesize_impaired_source(3, derive_stream(21, 0))
     rng = derive_stream(21, 1)
-    _, record = apply_impairment_chain(clean, desc, DEFAULT_PROFILE, rng)
+    _, _, record = apply_impairment_chain(clean, desc, DEFAULT_PROFILE, rng)
     awgn = record.steps[-1]
     assert awgn.kind == "awgn"
     assert rng.counter == awgn.params["noise_counter"] + 2 * len(clean)
