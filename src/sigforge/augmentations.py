@@ -2,15 +2,23 @@
 channel/receiver effects, two-example mixes, and feature representations.
 
 Every transform is a pure function of (frame, parameters, rng draws) and
-preserves frame length. Parameter defaults not fixed by the waveform
-model are collected in AUGMENT_APPLIERS / DEFAULT_RAND_AUGMENT_OPS and
-documented in the README defaults table.
+preserves frame length. ``AUGMENTATIONS`` registers the 18 transforms a
+pipeline can name, each under its function name. An ``AugmentSpec`` is
+checked when it is built: its params must bind against the transform's
+signature (AgcConfig's fields for agc), so an unknown or missing name
+fails then, not when a probability gate first fires. ``apply_augment``
+calls the transform directly, after drawing the parameters the registry
+lists as drawn per application and the spec leaves unset; every other
+unset parameter takes the transform's own default. The README's drawn
+defaults table documents the registry.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +28,10 @@ from sigforge.measurement import spectrogram as _spectrogram
 from sigforge.rng import RngStream
 
 # --- involutions and other parameter-free ops -------------------------------
+
+def identity(frame: np.ndarray) -> np.ndarray:
+    return frame.copy()
+
 
 def time_reversal(frame: np.ndarray, undo_inversion: bool = True) -> np.ndarray:
     """Reverse time; reversing also inverts the spectrum, which the
@@ -43,13 +55,16 @@ def amplitude_reversal(frame: np.ndarray) -> np.ndarray:
 
 # --- local-corruption ops ----------------------------------------------------
 
+DROP_FILLS = ("front", "back", "mean", "zero")
+
+
 def drop_samples(frame: np.ndarray, rng: RngStream, drop_rate: float = 0.03,
                  region_len_range: tuple[int, int] = (1, 7),
                  fill: str = "zero") -> np.ndarray:
     """Replace disjoint regions (~drop_rate of the frame in total) with a
     fill value: the last sample before the region (front), the first
     after it (back), the frame mean, or zero."""
-    if fill not in ("front", "back", "mean", "zero"):
+    if fill not in DROP_FILLS:
         raise ValueError(f"unknown fill {fill!r}")
     n = len(frame)
     out = frame.copy()
@@ -79,13 +94,16 @@ def drop_samples(frame: np.ndarray, rng: RngStream, drop_rate: float = 0.03,
     return out
 
 
+ROUNDINGS = ("floor", "middle", "ceiling")
+
+
 def quantize(frame: np.ndarray, num_levels: int, rounding: str = "floor",
              max_amplitude: float | None = None) -> np.ndarray:
     """Uniform quantizer over [-m, +m] applied to re and im independently;
     m defaults to the frame's max absolute component. ``rounding`` picks
     the emitted value inside each bin: its lower edge, middle, or upper
     edge."""
-    if rounding not in ("floor", "middle", "ceiling"):
+    if rounding not in ROUNDINGS:
         raise ValueError(f"unknown rounding {rounding!r}")
     if num_levels < 1:
         raise ValueError("num_levels must be >= 1")
@@ -388,77 +406,65 @@ def to_features(frame: np.ndarray, repr_kind: str) -> np.ndarray:
 
 # --- RandAugment and pipelines ---------------------------------------------------
 
+# Parameters a spec may leave unset that are drawn for each application,
+# in draw order, each as an RngStream method and its arguments. Any other
+# parameter a spec leaves unset takes the transform's own default.
+_DRAWN = {
+    "cutout": {"duration_frac": ("uniform", 0.01, 0.2), "fill": ("choice", CUTOUT_FILLS)},
+    "drop_samples": {"drop_rate": ("uniform", 0.01, 0.05), "fill": ("choice", DROP_FILLS)},
+    "quantize": {"num_levels": ("integers", 8, 65), "rounding": ("choice", ROUNDINGS)},
+    "patch_shuffle": {"shuffle_ratio": ("uniform", 0.1, 0.5)},
+}
+
+# The registry: kind (the transform's name) -> (transform, drawn parameters).
+AUGMENTATIONS = {transform.__name__: (transform, _DRAWN.get(transform.__name__, {}))
+                 for transform in (identity, spectral_inversion, channel_swap,
+                                   amplitude_reversal, cutout, drop_samples, quantize,
+                                   magnitude_rescale, patch_shuffle, time_reversal,
+                                   signal_rolloff, lo_drift, gain_drift, time_varying_noise,
+                                   clip, add_slope, random_convolve, agc)}
+
+
+def _spec_signature(transform) -> tuple[inspect.Signature, bool]:
+    """The signature a spec's params bind against (the transform's after
+    frame and rng, or AgcConfig's fields for agc), and whether the
+    transform takes rng as its second parameter."""
+    if transform is agc:
+        return inspect.signature(AgcConfig), False
+    params = list(inspect.signature(transform).parameters.values())
+    takes_rng = len(params) > 1 and params[1].name == "rng"
+    return inspect.Signature(params[1 + takes_rng:]), takes_rng
+
+
+_SIGNATURES = {kind: _spec_signature(transform) for kind, (transform, _) in AUGMENTATIONS.items()}
+
+
 @dataclass(frozen=True)
 class AugmentSpec:
+    """One pipeline step, checked when built: ``kind`` must be
+    registered, ``probability`` a number in [0, 1] (TypeError for a bool
+    or a string), and ``params`` must bind against the kind's transform
+    with drawn parameters counted as given (ValueError naming the kind for
+    an unknown or a missing required name). ``params`` is copied."""
+
     kind: str
     probability: float = 1.0
     params: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if isinstance(self.probability, bool) or not isinstance(self.probability, numbers.Real):
+            raise TypeError(f"probability must be a number, got {type(self.probability).__name__}")
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {self.probability}")
-        if self.kind not in AUGMENT_APPLIERS:
+        if self.kind not in AUGMENTATIONS:
             raise ValueError(f"unknown augmentation kind {self.kind!r}")
+        try:
+            object.__setattr__(self, "params", dict(self.params))
+            given = {**dict.fromkeys(AUGMENTATIONS[self.kind][1]), **self.params}
+            _SIGNATURES[self.kind][0].bind(**given)
+        except TypeError as exc:
+            raise ValueError(f"augmentation {self.kind!r}: {exc}") from None
 
-
-def _apply_identity(frame, rng, **_):
-    return frame.copy()
-
-
-def _apply_cutout(frame, rng, duration_frac=None, fill=None):
-    if duration_frac is None:
-        duration_frac = rng.uniform(0.01, 0.2)
-    if fill is None:
-        fill = CUTOUT_FILLS[rng.integers(0, len(CUTOUT_FILLS))]
-    return cutout(frame, rng, duration_frac, fill)
-
-
-def _apply_drop_samples(frame, rng, drop_rate=None, region_len_range=(1, 7), fill=None):
-    if drop_rate is None:
-        drop_rate = rng.uniform(0.01, 0.05)
-    if fill is None:
-        fill = ("front", "back", "mean", "zero")[rng.integers(0, 4)]
-    return drop_samples(frame, rng, drop_rate, tuple(region_len_range), fill)
-
-
-def _apply_quantize(frame, rng, num_levels=None, rounding=None):
-    if num_levels is None:
-        num_levels = int(rng.integers(8, 65))
-    if rounding is None:
-        rounding = ("floor", "middle", "ceiling")[rng.integers(0, 3)]
-    return quantize(frame, num_levels, rounding)
-
-
-def _apply_magnitude_rescale(frame, rng, start_index=None, scale=None):
-    return magnitude_rescale(frame, rng, start_index, scale)
-
-
-def _apply_patch_shuffle(frame, rng, patch_len_range=(2, 16), shuffle_ratio=None):
-    if shuffle_ratio is None:
-        shuffle_ratio = rng.uniform(0.1, 0.5)
-    return patch_shuffle(frame, rng, tuple(patch_len_range), shuffle_ratio)
-
-
-AUGMENT_APPLIERS = {
-    "identity": _apply_identity,
-    "spectral_inversion": lambda frame, rng, **_: spectral_inversion(frame),
-    "channel_swap": lambda frame, rng, **_: channel_swap(frame),
-    "amplitude_reversal": lambda frame, rng, **_: amplitude_reversal(frame),
-    "cutout": _apply_cutout,
-    "drop_samples": _apply_drop_samples,
-    "quantize": _apply_quantize,
-    "magnitude_rescale": _apply_magnitude_rescale,
-    "patch_shuffle": _apply_patch_shuffle,
-    "time_reversal": lambda frame, rng, undo_inversion=True, **_: time_reversal(frame, undo_inversion),
-    "signal_rolloff": lambda frame, rng, side="both", edge_frac=0.1, **_: signal_rolloff(frame, side, edge_frac),
-    "lo_drift": lambda frame, rng, **p: lo_drift(frame, rng, **p),
-    "gain_drift": lambda frame, rng, **p: gain_drift(frame, rng, **p),
-    "time_varying_noise": lambda frame, rng, **p: time_varying_noise(frame, rng, **p),
-    "clip": lambda frame, rng, percentage=0.9, **_: clip(frame, percentage),
-    "add_slope": lambda frame, rng, **_: add_slope(frame),
-    "random_convolve": lambda frame, rng, **p: random_convolve(frame, rng, **p),
-    "agc": lambda frame, rng, **p: agc(frame, AgcConfig(**p)),
-}
 
 # The RandAugment menu: 9 kinds, identity included.
 RAND_AUGMENT_KINDS = (
@@ -477,7 +483,26 @@ DEFAULT_RAND_AUGMENT_OPS = tuple(AugmentSpec(kind=k) for k in RAND_AUGMENT_KINDS
 
 
 def apply_augment(frame: np.ndarray, rng: RngStream, spec: AugmentSpec) -> np.ndarray:
-    return AUGMENT_APPLIERS[spec.kind](frame, rng, **spec.params)
+    """Draw the spec's unset drawn parameters, then call its transform."""
+    transform, drawn = AUGMENTATIONS[spec.kind]
+    params = {name: getattr(rng, method)(*args)
+              for name, (method, *args) in drawn.items() if name not in spec.params}
+    params.update(spec.params)
+    if transform is agc:
+        return agc(frame, AgcConfig(**params))
+    if _SIGNATURES[spec.kind][1]:
+        return transform(frame, rng, **params)
+    return transform(frame, **params)
+
+
+def _apply_each(frame: np.ndarray, rng: RngStream, specs) -> np.ndarray:
+    """Apply ``specs`` in order, pulling each only after the previous one
+    ran, so its selection draws interleave with the transforms' draws.
+    Always returns a new array."""
+    out = frame
+    for spec in specs:
+        out = apply_augment(out, rng, spec)
+    return out if out is not frame else frame.copy()
 
 
 def rand_augment(frame: np.ndarray, rng: RngStream,
@@ -485,11 +510,7 @@ def rand_augment(frame: np.ndarray, rng: RngStream,
                  n: int = 2) -> np.ndarray:
     """Pick n ops uniformly with replacement and apply them in draw
     order, each with its own random parameters."""
-    out = frame
-    for _ in range(n):
-        spec = ops[rng.integers(0, len(ops))]
-        out = apply_augment(out, rng, spec)
-    return out if out is not frame else frame.copy()
+    return _apply_each(frame, rng, (rng.choice(ops) for _ in range(n)))
 
 
 class Pipeline:
@@ -500,16 +521,16 @@ class Pipeline:
         self.specs = tuple(specs)
 
     def __call__(self, frame: np.ndarray, rng: RngStream) -> np.ndarray:
-        out = frame
-        for spec in self.specs:
-            if rng.bernoulli(spec.probability):
-                out = apply_augment(out, rng, spec)
-        return out if out is not frame else frame.copy()
+        gated = (spec for spec in self.specs if rng.bernoulli(spec.probability))
+        return _apply_each(frame, rng, gated)
 
 
 def build_pipeline(config) -> Pipeline:
     """Build from a declarative description: a JSON file path, a JSON
-    string, or a list of {kind, probability, params} mappings."""
+    string, or a list of {kind, probability, params} mappings. Raises
+    TypeError for a description that is not a list or an entry that is
+    not a mapping, ValueError for an entry with any other key, and what
+    AugmentSpec raises for the rest."""
     if isinstance(config, str):
         try:
             entries = json.loads(config)
@@ -518,11 +539,12 @@ def build_pipeline(config) -> Pipeline:
                 entries = json.load(fh)
     else:
         entries = config
-    specs = []
+    if not isinstance(entries, list):
+        raise TypeError(f"a pipeline is a list of specs, got {type(entries).__name__}")
     for entry in entries:
-        specs.append(AugmentSpec(
-            kind=entry["kind"],
-            probability=float(entry.get("probability", 1.0)),
-            params=dict(entry.get("params", {})),
-        ))
-    return Pipeline(tuple(specs))
+        if not isinstance(entry, dict):
+            raise TypeError(f"a pipeline entry is a mapping, got {type(entry).__name__}")
+        if not entry.keys() <= {"kind", "probability", "params"}:
+            raise ValueError("a pipeline entry has only kind, probability and params, "
+                             f"got keys {list(entry)}")
+    return Pipeline(tuple(AugmentSpec(**entry) for entry in entries))

@@ -99,15 +99,6 @@ np.empty(4 << 20, np.uint8)
 
 VARIANTS = ("clean-train", "clean-val", "impaired-train", "impaired-val")
 
-# Published-scale example counts, for reference; any size can be generated.
-REFERENCE_TOTALS = {
-    "clean-train": 1_000_000,
-    "clean-val": 106_000,
-    "impaired-train": 5_300_000,
-    "impaired-val": 106_000,
-}
-
-
 class DigestMismatchError(ValueError):
     """A shard's bytes, or the manifest itself, do not match its digest."""
 
@@ -206,7 +197,7 @@ def generate_example(index: int, class_index: int, rng: RngStream,
     return _example(index, class_index, rng, config)[:2]
 
 
-def replay_example(meta: dict, frame_len: int = FRAME_LEN) -> np.ndarray:
+def replay_example(meta: dict, frame_len: int) -> np.ndarray:
     """Rebuild a stored example (float64) from its metadata alone, taking
     its impairment record as stored; validate does not use it, as it
     regenerates each example from (dataset_seed, index) instead."""

@@ -26,16 +26,6 @@ def check_int(name: str, value: object, low: int | None = None,
         raise ValueError(f"{name} must be {bounds}, got {value}")
 
 
-def as_frame(x) -> np.ndarray:
-    """Coerce to a 1-D complex128 array, rejecting non-finite samples."""
-    frame = np.asarray(x, dtype=np.complex128)
-    if frame.ndim != 1:
-        raise ValueError(f"frame must be 1-D, got shape {frame.shape}")
-    if not np.all(np.isfinite(frame.real)) or not np.all(np.isfinite(frame.imag)):
-        raise ValueError("frame contains non-finite samples")
-    return frame
-
-
 def mean_power(frame: np.ndarray) -> float:
     """Mean of |x[n]|^2 over the frame."""
     frame = np.asarray(frame)

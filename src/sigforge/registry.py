@@ -42,15 +42,14 @@ class SignalDescriptor:
     """What a generated frame claims to be.
 
     ``samples_per_symbol`` is the effective value after any rate change
-    (e.g. the subsampled FSK path), and ``esn0_db`` is the target Es/N0
-    for impaired frames (None for the clean, noise-free variant).
+    (e.g. the subsampled FSK path). An impaired frame's Es/N0 target is in
+    its impairment record, not here.
     """
 
     class_index: int
     class_name: str
     family: str
     samples_per_symbol: float
-    esn0_db: float | None = None
 
 
 def _linear(index: int, name: str, family: str, order: int) -> SignalClass:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigforge.augmentations import (
-    AUGMENT_APPLIERS,
+    AUGMENTATIONS,
     CUTOUT_FILLS,
     DEFAULT_RAND_AUGMENT_OPS,
     RAND_AUGMENT_KINDS,
@@ -575,7 +575,7 @@ def test_augment_spec_validation():
         AugmentSpec(kind="identity", probability=1.5)
     with pytest.raises(ValueError):
         AugmentSpec(kind="warp")
-    assert set(RAND_AUGMENT_KINDS) <= set(AUGMENT_APPLIERS)
+    assert set(RAND_AUGMENT_KINDS) <= set(AUGMENTATIONS)
     assert len(RAND_AUGMENT_KINDS) == 9
     assert "identity" in RAND_AUGMENT_KINDS
 
@@ -654,6 +654,77 @@ def test_build_pipeline_from_list_string_and_file(tmp_path):
 def test_build_pipeline_rejects_unknown_kind():
     with pytest.raises(ValueError):
         build_pipeline([{"kind": "reverb"}])
+
+
+# The registry's 18 kinds, and the params the smallest spec of each needs.
+KINDS = (
+    "identity", "spectral_inversion", "channel_swap", "amplitude_reversal", "cutout",
+    "drop_samples", "quantize", "magnitude_rescale", "patch_shuffle", "time_reversal",
+    "signal_rolloff", "lo_drift", "gain_drift", "time_varying_noise", "clip", "add_slope",
+    "random_convolve", "agc",
+)
+REQUIRED_PARAMS = {"time_varying_noise": {"snr_low_db": 0.0, "snr_high_db": 20.0}}
+
+
+def test_registry_holds_every_kind():
+    assert set(AUGMENTATIONS) == set(KINDS)
+    for kind, (transform, _drawn) in AUGMENTATIONS.items():
+        assert transform.__name__ == kind
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_kind_applies_through_a_minimal_spec(kind):
+    frame = frame_of(156, 300)
+    spec = AugmentSpec(kind=kind, params=REQUIRED_PARAMS.get(kind, {}))
+    rngs = derive_stream(156, 1), derive_stream(156, 1)
+    a, b = (apply_augment(frame, rng, spec) for rng in rngs)
+    assert a.shape == frame.shape
+    assert a.tobytes() == b.tobytes()
+    assert rngs[0].counter == rngs[1].counter
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_spec_refuses_an_unknown_param_when_built(kind):
+    params = {**REQUIRED_PARAMS.get(kind, {}), "percent": 0.1}
+    with pytest.raises(ValueError, match=f"'{kind}'.*'percent'"):
+        AugmentSpec(kind=kind, probability=0.01, params=params)
+
+
+@pytest.mark.parametrize("params", [{}, {"snr_low_db": 0.0}, {"snr_high_db": 20.0}])
+def test_spec_refuses_a_missing_required_param_when_built(params):
+    with pytest.raises(ValueError, match="'time_varying_noise'.*missing"):
+        AugmentSpec(kind="time_varying_noise", probability=0.01, params=params)
+
+
+def test_spec_takes_frame_and_rng_from_the_caller_only():
+    for name in ("frame", "rng"):
+        with pytest.raises(ValueError, match=name):
+            AugmentSpec(kind="cutout", params={name: None})
+    with pytest.raises(ValueError, match="'agc'.*'config'"):
+        AugmentSpec(kind="agc", params={"config": AgcConfig()})
+
+
+def test_spec_keeps_its_own_copy_of_params():
+    params = {"percentage": 0.5}
+    spec = AugmentSpec(kind="clip", params=params)
+    params["percent"] = 0.1
+    assert spec.params == {"percentage": 0.5}
+
+
+@pytest.mark.parametrize("description,error", [
+    ({"kind": "cutout"}, TypeError),
+    ('{"kind": "cutout"}', TypeError),
+    (["cutout"], TypeError),
+    ([{"kind": "cutout"}, None], TypeError),
+    ([{"kind": "cutout", "prob": 0.1}], ValueError),
+    ([{"kind": "cutout", "probability": True}], TypeError),
+    ([{"kind": "cutout", "probability": "0.5"}], TypeError),
+    ([{"kind": "clip", "params": {"percent": 0.1}}], ValueError),
+    ([{"kind": "time_varying_noise", "probability": 0.01}], ValueError),
+])
+def test_build_pipeline_refuses_a_malformed_description(description, error):
+    with pytest.raises(error):
+        build_pipeline(description)
 
 
 def test_default_rand_augment_menu_is_wired():

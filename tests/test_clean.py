@@ -21,7 +21,6 @@ def test_every_class_generates_unit_power(cls):
     assert desc.class_index == cls.index
     assert desc.class_name == cls.name
     assert desc.family == cls.family
-    assert desc.esn0_db is None
 
 
 def test_clean_defaults_are_pinned():

@@ -28,7 +28,6 @@ from sigforge.dataset import (
     DEFAULT_SHARD_SIZE,
     FORMAT_VERSION,
     MIN_FRAME_LEN,
-    REFERENCE_TOTALS,
     VARIANTS,
     CheckResult,
     DatasetConfig,
@@ -134,19 +133,6 @@ def test_the_profile_is_a_constant_not_a_field():
     assert len(iq) == 53 * MIN_FRAME_LEN * 8
 
 
-def test_reference_totals_documented():
-    # published-scale counts; the round 1M figure is not 53-divisible,
-    # desk-scale generation balances exactly instead
-    assert REFERENCE_TOTALS == {
-        "clean-train": 1_000_000,
-        "clean-val": 106_000,
-        "impaired-train": 5_300_000,
-        "impaired-val": 106_000,
-    }
-    assert set(REFERENCE_TOTALS) == set(VARIANTS)
-    assert REFERENCE_TOTALS["impaired-val"] % NUM_CLASSES == 0
-
-
 def test_plan_round_robin():
     config = small_config(epc=2, frame_len=MIN_FRAME_LEN)
     iq, meta = generate_range(config, 0, config.total_examples)
@@ -238,6 +224,10 @@ def test_replay_example_matches_stored_bytes(variant):
             index, index % 53, derive_stream(3, index), config)
         again = replay_example(meta, config.frame_len)
         assert frame_to_bytes(again) == frame_to_bytes(frame)
+    # no default length: a 4096-sample rebuild of a 256-sample example
+    # would not be the stored example
+    with pytest.raises(TypeError):
+        replay_example(meta)
 
 
 def test_write_read_round_trip(tmp_path, shard_size):

@@ -6,7 +6,6 @@ import pytest
 from sigforge.frame import (
     FRAME_LEN,
     ZeroPowerError,
-    as_frame,
     mean_power,
     normalize_unit_power,
 )
@@ -14,21 +13,6 @@ from sigforge.frame import (
 
 def test_default_frame_length():
     assert FRAME_LEN == 4096
-
-
-def test_as_frame_coerces_lists():
-    frame = as_frame([1, 2j, -3])
-    assert frame.dtype == np.complex128
-    np.testing.assert_array_equal(frame, [1 + 0j, 2j, -3 + 0j])
-
-
-def test_as_frame_rejects_bad_shapes_and_values():
-    with pytest.raises(ValueError):
-        as_frame([[1, 2], [3, 4]])
-    with pytest.raises(ValueError):
-        as_frame([1.0, np.inf])
-    with pytest.raises(ValueError):
-        as_frame([1.0, complex(0, np.nan)])
 
 
 def test_mean_power_scalar_oracle():
