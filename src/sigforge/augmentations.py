@@ -5,8 +5,10 @@ Every transform is a pure function of (frame, parameters, rng draws) and
 preserves frame length. ``AUGMENTATIONS`` registers the 18 transforms a
 pipeline can name, each under its function name. An ``AugmentSpec`` is
 checked when it is built: its params must bind against the transform's
-signature (AgcConfig's fields for agc), so an unknown or missing name
-fails then, not when a probability gate first fires. ``apply_augment``
+signature (AgcConfig's fields for agc), and a fill, rounding, level
+count, roll-off side or edge, or inflection count must be one the
+transform accepts, so an unknown or missing name or a refused value fails
+then, not when a probability gate first fires. ``apply_augment``
 calls the transform directly, after drawing the parameters the registry
 lists as drawn per application and the spec leaves unset; every other
 unset parameter takes the transform's own default. The README's drawn
@@ -64,8 +66,7 @@ def drop_samples(frame: np.ndarray, rng: RngStream, drop_rate: float = 0.03,
     """Replace disjoint regions (~drop_rate of the frame in total) with a
     fill value: the last sample before the region (front), the first
     after it (back), the frame mean, or zero."""
-    if fill not in DROP_FILLS:
-        raise ValueError(f"unknown fill {fill!r}")
+    _check_values("drop_samples", fill=fill)
     n = len(frame)
     out = frame.copy()
     target = int(round(drop_rate * n))
@@ -103,10 +104,7 @@ def quantize(frame: np.ndarray, num_levels: int, rounding: str = "floor",
     m defaults to the frame's max absolute component. ``rounding`` picks
     the emitted value inside each bin: its lower edge, middle, or upper
     edge."""
-    if rounding not in ROUNDINGS:
-        raise ValueError(f"unknown rounding {rounding!r}")
-    if num_levels < 1:
-        raise ValueError("num_levels must be >= 1")
+    _check_values("quantize", num_levels=num_levels, rounding=rounding)
     m = max_amplitude
     if m is None:
         m = float(max(np.max(np.abs(frame.real)), np.max(np.abs(frame.imag))))
@@ -126,7 +124,10 @@ def magnitude_rescale(frame: np.ndarray, rng: RngStream | None = None,
                       start_index: int | None = None,
                       scale: float | None = None) -> np.ndarray:
     """Gain step: samples from start_index onward are scaled. Unset
-    parameters are drawn (start uniform over the frame, scale U(0.5, 2))."""
+    parameters are drawn (start uniform over the frame, scale U(0.5, 2)),
+    which takes an rng (TypeError without one)."""
+    if rng is None and (start_index is None or scale is None):
+        raise TypeError("magnitude_rescale needs an rng to draw an unset start_index or scale")
     n = len(frame)
     if start_index is None:
         start_index = int(rng.integers(0, n))
@@ -144,8 +145,7 @@ _CUTOUT_NOISE_POWER = {"low_noise": 0.01, "avg_noise": 1.0, "high_noise": 100.0}
 def cutout(frame: np.ndarray, rng: RngStream, duration_frac: float = 0.1,
            fill: str = "zeros") -> np.ndarray:
     """Replace one contiguous region of duration_frac of the frame."""
-    if fill not in CUTOUT_FILLS:
-        raise ValueError(f"unknown fill {fill!r}")
+    _check_values("cutout", fill=fill)
     n = len(frame)
     length = int(round(duration_frac * n))
     if length <= 0:
@@ -181,6 +181,9 @@ def patch_shuffle(frame: np.ndarray, rng: RngStream,
 
 # --- channel/receiver effects -------------------------------------------------
 
+ROLLOFF_SIDES = ("lower", "upper", "both")
+
+
 def signal_rolloff(frame: np.ndarray, side: str = "both",
                    edge_frac: float = 0.1) -> np.ndarray:
     """Raised-cosine attenuation over the outer edge_frac of the chosen
@@ -189,10 +192,7 @@ def signal_rolloff(frame: np.ndarray, side: str = "both",
     The gain depends on |frequency| so that a two-sided taper treats
     mirrored bins identically (a real input stays real). The midpoint of
     the taper band sits at exactly half amplitude (-6.02 dB)."""
-    if side not in ("lower", "upper", "both"):
-        raise ValueError(f"unknown side {side!r}")
-    if not 0.0 <= edge_frac <= 0.5:
-        raise ValueError(f"edge_frac must be in [0, 0.5], got {edge_frac}")
+    _check_values("signal_rolloff", side=side, edge_frac=edge_frac)
     n = len(frame)
     num_edge = int(round(edge_frac * n))
     if num_edge <= 0:
@@ -249,8 +249,7 @@ def time_varying_noise(frame: np.ndarray, rng: RngStream, snr_low_db: float,
     linear dB trajectory from snr_low to snr_high (per-sample SNR, i.e.
     sps = 1), reversing slope at each of ``inflections`` evenly spaced
     points."""
-    if inflections < 0:
-        raise ValueError("inflections must be >= 0")
+    _check_values("time_varying_noise", inflections=inflections)
     n = len(frame)
     nodes = np.linspace(0, n - 1, inflections + 2)
     node_snrs = np.where(np.arange(inflections + 2) % 2 == 0, snr_low_db, snr_high_db)
@@ -347,8 +346,11 @@ def mixup(frame: np.ndarray, label: int, other_frame: np.ndarray, other_label: i
           ) -> tuple[np.ndarray, LabelInfo]:
     """Additive mix with the second signal alpha_db below the first:
     y = x + 10^(-alpha/20)*other. alpha defaults to a U(3, 23) dB draw.
-    The secondary label weight is the mixed-in share of total power."""
+    The secondary label weight is the mixed-in share of total power.
+    Drawing alpha takes an rng (TypeError without one)."""
     if alpha_db is None:
+        if rng is None:
+            raise TypeError("mixup needs an rng to draw alpha_db")
         alpha_db = rng.uniform(3.0, 23.0)
     if math.isinf(alpha_db) and alpha_db > 0:
         return frame.copy(), LabelInfo(primary=label)
@@ -416,6 +418,49 @@ _DRAWN = {
     "patch_shuffle": {"shuffle_ratio": ("uniform", 0.1, 0.5)},
 }
 
+
+def _member_of(allowed: tuple[str, ...]):
+    def check(name: str, value: object) -> None:
+        if not (isinstance(value, str) and value in allowed):
+            raise ValueError(f"unknown {name} {value!r}")
+    return check
+
+
+def _integer_from(low: int):
+    def check(name: str, value: object) -> None:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return check
+
+
+def _number_within(low: float, high: float):
+    def check(name: str, value: object) -> None:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                or not low <= value <= high:
+            raise ValueError(f"{name} must be in [{low}, {high}], got {value!r}")
+    return check
+
+
+# Values a transform refuses, by kind and parameter: the transform checks
+# them when called, and AugmentSpec when a spec is built.
+_VALUE_CHECKS = {
+    "cutout": {"fill": _member_of(CUTOUT_FILLS)},
+    "drop_samples": {"fill": _member_of(DROP_FILLS)},
+    "quantize": {"num_levels": _integer_from(1), "rounding": _member_of(ROUNDINGS)},
+    "signal_rolloff": {"side": _member_of(ROLLOFF_SIDES), "edge_frac": _number_within(0, 0.5)},
+    "time_varying_noise": {"inflections": _integer_from(0)},
+}
+
+
+def _check_values(kind: str, **params: object) -> None:
+    """Raise ValueError for a param value that kind's transform refuses;
+    a param without a check in _VALUE_CHECKS passes."""
+    checks = _VALUE_CHECKS.get(kind, {})
+    for name, value in params.items():
+        if name in checks:
+            checks[name](name, value)
+
+
 # The registry: kind (the transform's name) -> (transform, drawn parameters).
 AUGMENTATIONS = {transform.__name__: (transform, _DRAWN.get(transform.__name__, {}))
                  for transform in (identity, spectral_inversion, channel_swap,
@@ -444,8 +489,10 @@ class AugmentSpec:
     """One pipeline step, checked when built: ``kind`` must be
     registered, ``probability`` a number in [0, 1] (TypeError for a bool
     or a string), and ``params`` must bind against the kind's transform
-    with drawn parameters counted as given (ValueError naming the kind for
-    an unknown or a missing required name). ``params`` is copied."""
+    with drawn parameters counted as given, and hold only values the
+    transform accepts (ValueError naming the kind for an unknown or a
+    missing required name, or a value in _VALUE_CHECKS that the transform
+    refuses). ``params`` is copied."""
 
     kind: str
     probability: float = 1.0
@@ -462,7 +509,8 @@ class AugmentSpec:
             object.__setattr__(self, "params", dict(self.params))
             given = {**dict.fromkeys(AUGMENTATIONS[self.kind][1]), **self.params}
             _SIGNATURES[self.kind][0].bind(**given)
-        except TypeError as exc:
+            _check_values(self.kind, **self.params)
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"augmentation {self.kind!r}: {exc}") from None
 
 

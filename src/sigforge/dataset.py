@@ -44,6 +44,14 @@ reads that IQ back to hash it. Each shard is written under a ``.tmp``
 name and renamed once complete, and manifest.json is renamed into place
 last, so an interrupted run leaves no manifest and no final-named file
 that is incomplete.
+
+Readers take a shard's IQ in the same _TASK_SIZE-frame blocks, through
+_shards, the one loop over shard files. verify_digests, validate and an
+unverified read hold one block at a time, plus the shard's meta file
+(and, for validate, the stored bytes of its sampled frames): a shard is
+hashed as it is read, and nothing of it is used before its digests
+match. A verified read holds a shard's raw IQ until then, as its digest
+covers the whole shard, and converts it to frames a block at a time.
 """
 
 from __future__ import annotations
@@ -60,7 +68,7 @@ import os
 import signal
 from dataclasses import dataclass
 from pathlib import Path
-from typing import ClassVar, Iterator
+from typing import Callable, ClassVar, Iterable, Iterator
 
 import numpy as np
 
@@ -477,25 +485,55 @@ def load_manifest(dataset_dir: str | Path) -> dict:
     return manifest
 
 
-def _shards(root: str | Path, manifest: dict, verify: bool) -> Iterator[tuple[str, bytes, bytes]]:
-    """(name, IQ bytes, meta bytes) of each shard of the layout, each file
-    read once. With verify, raises DigestMismatchError where a digest
-    differs: the manifest's first, a shard's before it is yielded, the
-    overall last."""
+def _shards(root: str | Path, manifest: dict, verify: bool,
+            hold: Callable[[int, bytes], object]) -> Iterator[tuple[list[str], Iterable]]:
+    """(meta lines, held) of each shard of the layout, each file read
+    once, its IQ in blocks of _TASK_SIZE whole frames (the last one
+    shorter), the unit write_shards writes in: held gives hold(first,
+    block) for each block in order, first being the position in the
+    dataset of the block's first frame, its example index in a dataset of
+    the layout. Raises ValueError unless a shard's IQ is as many frames as
+    its meta has lines.
+
+    Without verify, the size is checked first, and held reads the blocks
+    as it is taken, which must be before the next shard. With verify, each
+    block is hashed into the shard's and the overall sha256 as it is read,
+    and held is the list of what hold kept of the blocks; a shard is
+    yielded only once its digests match, so a caller holds one block and
+    what hold keeps, and uses nothing of a shard before it is verified.
+    DigestMismatchError is raised where a digest differs: the manifest's
+    first, a shard's IQ and then its meta after its last block and before
+    its size is checked, the overall last."""
     if verify and manifest_digest(manifest) != manifest.get("manifest_sha256"):
         raise DigestMismatchError("manifest digest mismatch")
-    overall = hashlib.sha256()
+    frame_len = manifest["config"]["frame_len"]
+    overall, position = hashlib.sha256(), 0
     for shard, entry in zip(_layout(manifest["num_examples"]), manifest["shards"]):
         name = shard["name"]
-        iq_bytes = Path(root, f"{name}.iq").read_bytes()
-        meta_bytes = Path(root, f"{name}.meta.jsonl").read_bytes()
-        if verify:
-            overall.update(iq_bytes)
-            if hashlib.sha256(iq_bytes).hexdigest() != entry["iq_sha256"]:
-                raise DigestMismatchError(f"{name}.iq digest mismatch")
-            if hashlib.sha256(meta_bytes).hexdigest() != entry["meta_sha256"]:
-                raise DigestMismatchError(f"{name}.meta.jsonl digest mismatch")
-        yield name, iq_bytes, meta_bytes
+        with open(Path(root, f"{name}.iq"), "rb") as iq_file:
+            meta_bytes = Path(root, f"{name}.meta.jsonl").read_bytes()
+            read_block = functools.partial(iq_file.read, _TASK_SIZE * 8 * frame_len)
+            blocks = zip(itertools.count(position, _TASK_SIZE), iter(read_block, b""))
+            if not verify:
+                lines = meta_bytes.decode("utf-8").splitlines()
+                _check_iq_size(name, os.fstat(iq_file.fileno()).st_size, frame_len, len(lines))
+                yield lines, itertools.starmap(hold, blocks)
+                position += len(lines)
+                continue
+            iq_sha256, held = hashlib.sha256(), []
+            for first, block in blocks:
+                iq_sha256.update(block)
+                overall.update(block)
+                held.append(hold(first, block))
+            iq_size = iq_file.tell()
+        if iq_sha256.hexdigest() != entry["iq_sha256"]:
+            raise DigestMismatchError(f"{name}.iq digest mismatch")
+        if hashlib.sha256(meta_bytes).hexdigest() != entry["meta_sha256"]:
+            raise DigestMismatchError(f"{name}.meta.jsonl digest mismatch")
+        lines = meta_bytes.decode("utf-8").splitlines()
+        _check_iq_size(name, iq_size, frame_len, len(lines))
+        yield lines, held
+        position += len(lines)
     if verify and overall.hexdigest() != manifest["digest_sha256"]:
         raise DigestMismatchError("overall digest mismatch")
 
@@ -504,7 +542,7 @@ def verify_digests(dataset_dir: str | Path, manifest: dict | None = None) -> Non
     """Check the manifest against its own digest, then recompute all shard
     digests; raise DigestMismatchError on any difference."""
     manifest = manifest if manifest is not None else load_manifest(dataset_dir)
-    for _shard in _shards(dataset_dir, manifest, verify=True):
+    for _shard in _shards(dataset_dir, manifest, True, lambda _first, _block: None):
         pass
 
 
@@ -540,22 +578,20 @@ def read_example(dataset_dir: str | Path, index: int,
     return bytes_to_frames(raw, frame_len)[0], json.loads(line)
 
 
-def _examples(root: str | Path, manifest: dict, verify: bool) -> Iterator[tuple[np.ndarray, str]]:
-    """(complex64 frame, meta line as stored, without its newline) in
-    index order, from one _shards pass."""
-    frame_len = manifest["config"]["frame_len"]
-    for name, iq_bytes, meta_bytes in _shards(root, manifest, verify):
-        lines = meta_bytes.decode("utf-8").splitlines()
-        _check_iq_size(name, len(iq_bytes), frame_len, len(lines))
-        yield from zip(bytes_to_frames(iq_bytes, frame_len), lines)
-
-
 def read(dataset_dir: str | Path, validate_digest: bool = False
          ) -> Iterator[tuple[np.ndarray, dict]]:
-    """Yield (complex64 frame, meta) in index order; with validate_digest,
-    only from verified shards, raising DigestMismatchError as _shards does."""
-    for frame, line in _examples(dataset_dir, load_manifest(dataset_dir), validate_digest):
-        yield frame, json.loads(line)
+    """Yield (complex64 frame, meta) in index order, converting one block
+    of frames at a time. With validate_digest, yields only from verified
+    shards, raising DigestMismatchError as _shards does, so it holds a
+    shard's IQ bytes until they are verified; without it, one block."""
+    manifest = load_manifest(dataset_dir)
+    frame_len = manifest["config"]["frame_len"]
+    for lines, blocks in _shards(dataset_dir, manifest, validate_digest,
+                                 lambda _first, block: block):
+        metas = iter(lines)
+        for block in blocks:
+            for frame, line in zip(bytes_to_frames(block, frame_len), metas):
+                yield frame, json.loads(line)
 
 
 @dataclass(frozen=True)
@@ -574,7 +610,8 @@ def _sample_indices(total: int, want: int) -> list[int]:
 
 
 def validate(dataset_dir: str | Path, sample: int = 20) -> list[CheckResult]:
-    """Check a dataset in one read pass over verified bytes: digest (the
+    """Check a dataset in one read pass over verified bytes, holding one
+    block of a shard, its meta file and its sampled frames: digest (the
     only result if it fails, as every later check reads those bytes),
     class-balance, replay: `sample` evenly spread examples regenerated from
     (dataset_seed, index) and compared with the stored IQ and meta line,
@@ -588,26 +625,36 @@ def validate(dataset_dir: str | Path, sample: int = 20) -> list[CheckResult]:
     manifest = load_manifest(dataset_dir)
     config = config_from_echo(manifest["config"])
     sampled = set(_sample_indices(manifest["num_examples"], sample))
+    frame_bytes = 8 * config.frame_len
     in_order, differing, position = True, [], 0
     snr_errors, envelopes = [], []
+
+    def keep_sampled(first: int, block: bytes) -> dict[int, bytes]:
+        return {i: block[(i - first) * frame_bytes:(i + 1 - first) * frame_bytes]
+                for i in range(first, first + len(block) // frame_bytes) if i in sampled}
     try:
-        for frame32, line in _examples(dataset_dir, manifest, verify=True):
-            meta = json.loads(line)
-            if not (isinstance(meta, dict) and meta.get("index") == position
-                    and meta.get("class_index") == position % NUM_CLASSES):
-                in_order = False
-            if position in sampled:
-                frame, want, pre_noise = _example(position, position % NUM_CLASSES,
-                                                  derive_stream(config.dataset_seed, position), config)
-                if frame_to_bytes(frame) != frame32.tobytes() or _canonical(want) != line:
-                    differing.append(position)
-                if pre_noise is not None:
-                    measured = measurement.measure_esn0(
-                        pre_noise, frame - pre_noise, want["samples_per_symbol"])
-                    snr_errors.append(abs(measured - want["snr_db"]))
-                elif want["family"] == "fsk":
-                    envelopes.append(measurement.envelope_constancy(frame32.astype(np.complex128)))
-            position += 1
+        for lines, held in _shards(dataset_dir, manifest, True, keep_sampled):
+            stored = {i: raw for kept in held for i, raw in kept.items()}
+            for line in lines:
+                meta = json.loads(line)
+                if not (isinstance(meta, dict) and meta.get("index") == position
+                        and meta.get("class_index") == position % NUM_CLASSES):
+                    in_order = False
+                if position in sampled:
+                    frame, want, pre_noise = _example(
+                        position, position % NUM_CLASSES,
+                        derive_stream(config.dataset_seed, position), config)
+                    if frame_to_bytes(frame) != stored[position] or _canonical(want) != line:
+                        differing.append(position)
+                    if pre_noise is not None:
+                        measured = measurement.measure_esn0(
+                            pre_noise, frame - pre_noise, want["samples_per_symbol"])
+                        snr_errors.append(abs(measured - want["snr_db"]))
+                    elif want["family"] == "fsk":
+                        frame32 = bytes_to_frames(stored[position], config.frame_len)[0]
+                        envelopes.append(measurement.envelope_constancy(
+                            frame32.astype(np.complex128)))
+                position += 1
     except (DigestMismatchError, FileNotFoundError) as exc:
         return [CheckResult("digest", False, str(exc))]
 

@@ -6,6 +6,8 @@ can check them against independent re-derivations to 1e-12.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -76,9 +78,18 @@ def lowpass_taps(cutoff: float, num_taps: int, kaiser_beta: float | None = None)
 
     n = _centered_grid(num_taps)
     ideal = 2.0 * cutoff * np.sinc(2.0 * cutoff * n)
-    window = np.hanning(num_taps) if kaiser_beta is None else np.kaiser(num_taps, kaiser_beta)
-    taps = ideal * window
+    taps = ideal * _window(num_taps, kaiser_beta)
     return taps / np.sum(taps)
+
+
+@functools.lru_cache(maxsize=64)
+def _window(num_taps: int, kaiser_beta: float | None) -> np.ndarray:
+    """lowpass_taps' window, Hann for a kaiser_beta of None, as a read-only
+    array: designing a Kaiser window took most of a lowpass_taps call, and
+    the impairment chain asks for the same few windows again and again."""
+    window = np.hanning(num_taps) if kaiser_beta is None else np.kaiser(num_taps, kaiser_beta)
+    window.flags.writeable = False
+    return window
 
 
 def convolve_same(frame: np.ndarray, taps: np.ndarray) -> np.ndarray:

@@ -210,6 +210,13 @@ def test_magnitude_rescale_drawn_parameters():
     np.testing.assert_array_equal(out[:start], frame[:start])
 
 
+def test_magnitude_rescale_without_an_rng_needs_both_parameters():
+    frame = frame_of(114, 64)
+    for params in ({}, {"start_index": 3}, {"scale": 1.5}):
+        with pytest.raises(TypeError, match="needs an rng"):
+            magnitude_rescale(frame, **params)
+
+
 def test_cutout_zero_fill_region():
     frame = frame_of(114)
     out = cutout(frame, derive_stream(114, 1), duration_frac=0.1, fill="zeros")
@@ -495,6 +502,12 @@ def test_mixup_infinite_alpha_is_identity():
     assert info == LabelInfo(primary=1)
 
 
+def test_mixup_without_an_rng_needs_alpha():
+    a, b = frame_of(134, 64), frame_of(135, 64)
+    with pytest.raises(TypeError, match="needs an rng"):
+        mixup(a, 1, b, 2)
+
+
 def test_mixup_drawn_alpha_range():
     a, b = frame_of(136), frame_of(137)
     for i in range(20):
@@ -694,6 +707,26 @@ def test_spec_refuses_an_unknown_param_when_built(kind):
 def test_spec_refuses_a_missing_required_param_when_built(params):
     with pytest.raises(ValueError, match="'time_varying_noise'.*missing"):
         AugmentSpec(kind="time_varying_noise", probability=0.01, params=params)
+
+
+@pytest.mark.parametrize("kind,params,refused", [
+    ("cutout", {"fill": "wrap"}, "fill"),
+    ("drop_samples", {"fill": "zeros"}, "fill"),
+    ("quantize", {"rounding": "nearest"}, "rounding"),
+    ("quantize", {"num_levels": 0}, "num_levels"),
+    ("quantize", {"num_levels": 2.5}, "num_levels"),
+    ("quantize", {"num_levels": "8"}, "num_levels"),
+    ("signal_rolloff", {"side": "middle"}, "side"),
+    ("signal_rolloff", {"edge_frac": 0.6}, "edge_frac"),
+    ("signal_rolloff", {"edge_frac": "0.1"}, "edge_frac"),
+    ("time_varying_noise", {"snr_low_db": 0.0, "snr_high_db": 20.0, "inflections": -1},
+     "inflections"),
+    ("time_varying_noise", {"snr_low_db": 0.0, "snr_high_db": 20.0, "inflections": 1.0},
+     "inflections"),
+])
+def test_spec_refuses_a_bad_value_when_built(kind, params, refused):
+    with pytest.raises(ValueError, match=f"'{kind}'.*{refused}"):
+        AugmentSpec(kind=kind, probability=0.01, params=params)
 
 
 def test_spec_takes_frame_and_rng_from_the_caller_only():

@@ -912,6 +912,58 @@ def test_validate_stops_at_a_digest_failure(impaired_dir, tmp_path):
         CheckResult("digest", False, "shard-00001.iq digest mismatch")]
 
 
+def test_validate_uses_nothing_of_a_shard_before_its_digests_match(
+        impaired_dir, tmp_path, monkeypatch):
+    target = tmp_path / "ds"
+    shutil.copytree(impaired_dir, target)
+    iq_path = target / "shard-00001.iq"
+    blob = bytearray(iq_path.read_bytes())
+    blob[8 * 256 * 5 + 3] ^= 0x10
+    iq_path.write_bytes(bytes(blob))
+    regenerated = []
+    example = dataset_module._example
+
+    def counting_example(index, *args):
+        regenerated.append(index)
+        return example(index, *args)
+    monkeypatch.setattr(dataset_module, "_example", counting_example)
+    assert validate(target, sample=53) == [
+        CheckResult("digest", False, "shard-00001.iq digest mismatch")]
+    assert regenerated == list(range(IMPAIRED_SHARD_SIZE))
+
+
+@pytest.mark.parametrize("reader", [
+    "dataset.verify_digests(root)",
+    "assert all(result.ok for result in dataset.validate(root, sample=20))",
+    "collections.deque(dataset.read(root), 0)",
+])
+def test_a_reader_holds_a_block_not_a_shard(tmp_path, reader):
+    # one shard of 1060 clean examples at 4096 samples, 33 MiB of IQ: the
+    # reader, in a fresh child, raises its peak RSS by under a quarter of
+    # that. The child reads its own VmHWM: its ru_maxrss starts from the
+    # peak of the process that started it, which exec carries over.
+    root = tmp_path / "ds"
+    write_shards(DatasetConfig("clean-train", 20, 5), root)
+    shard_bytes = (root / "shard-00000.iq").stat().st_size
+    assert shard_bytes == 1060 * 8 * 4096
+    code = ("import collections, re, sys\n"
+            "from sigforge import dataset\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return 1024 * int(re.search(r'VmHWM:\\s*(\\d+) kB', status.read())[1])\n"
+            "root = sys.argv[1]\n"
+            "before = peak()\n"
+            f"{reader}\n"
+            "print(peak() - before)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run([sys.executable, "-c", code, str(root)],
+                            env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    growth = int(result.stdout)
+    assert growth < shard_bytes / 4, f"peak RSS grew by {growth / 2 ** 20:.1f} MiB"
+
+
 def test_validate_without_manifest(tmp_path):
     with pytest.raises(FileNotFoundError):
         validate(tmp_path)

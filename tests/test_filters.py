@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sigforge.filters import convolve_same, gaussian_taps, lowpass_taps, rrc_taps
+from sigforge.filters import _window, convolve_same, gaussian_taps, lowpass_taps, rrc_taps
 
 
 def rrc_reference(alpha: float, sps: int, span: int) -> np.ndarray:
@@ -107,6 +107,17 @@ class TestLowpass:
         stopband = response[grid > 0.25]
         assert passband.min() > 0.95
         assert stopband.max() < 10 ** (-40 / 20)
+
+    def test_taps_are_fresh_and_writable_and_the_window_is_not(self):
+        for beta in (None, 5.653):
+            first, again = lowpass_taps(0.2, 63, beta), lowpass_taps(0.2, 63, beta)
+            first[0] = 1.0
+            assert again[0] != 1.0
+            np.testing.assert_array_equal(lowpass_taps(0.2, 63, beta), again)
+        window = _window(63, 5.653)
+        assert window is _window(63, 5.653) and not window.flags.writeable
+        np.testing.assert_array_equal(window, np.kaiser(63, 5.653))
+        np.testing.assert_array_equal(_window(63, None), np.hanning(63))
 
     def test_odd_tap_count_enforced(self):
         with pytest.raises(ValueError):
