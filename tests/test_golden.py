@@ -5,6 +5,7 @@ format change: bump ``dataset.FORMAT_VERSION`` alongside it.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 
@@ -61,6 +62,36 @@ BATCH_REQUEST = {"seed": 7, "start_index": 0, "batch_size": 4, "frame_len": 256}
 BATCH_SHA256 = "d009faa032179cd6cdcf0c33dee720cb246282c9d747d765a2d41636a72a38db"
 BATCH_BYTES = 12518
 
+# A dataset of more than one shard at an odd-sized frame: 78 per class is
+# 4134 examples, so shard 0 holds 4096 and shard 1 holds 38, whose last
+# 8-frame block is 6 frames. Its manifest pins both shards' digests and the
+# overall digest across them.
+WIDE_CONFIG = {"examples_per_class": 78, "dataset_seed": 7, "frame_len": 64}
+WIDE_MANIFEST_SHA256 = {
+    "clean-train": "6d8892bfc9c9800919f5659049ce24d2f774a1b8de5d7f0e0bb62f0702caf16f",
+    "impaired-train": "b918b17c70b89803129bc9ff688fc49033308f1de77fe2aad08fe1001ef29a53",
+}
+# `sigforge validate --sample 8` stdout of the impaired one; its sample
+# includes the last example, in shard 1
+WIDE_VALIDATE_STDOUT_SHA256 = "b37020c418e8d96b9ce71f4e37a157d1a1e5b18780c6fffb65f25e4901597bb9"
+
+# a batch at an odd frame length, a whole class cycle long, past 2**32
+FAR_BATCH_REQUEST = {"seed": 7, "start_index": 2**40, "batch_size": 53, "frame_len": 65}
+FAR_BATCH_SHA256 = "502494d3dd5de3636b98b0c197f3018a68e7b4add7b68502e0e6da9cca2be4bb"
+FAR_BATCH_BYTES = 78012
+
+
+@pytest.fixture(scope="module")
+def wide_dataset(tmp_path_factory):
+    """The directory of a variant's dataset at WIDE_CONFIG, written once
+    per module, at 2 workers."""
+    @functools.cache
+    def written(variant):
+        out = tmp_path_factory.mktemp(variant) / "ds"
+        write_shards(DatasetConfig(variant, **WIDE_CONFIG), out, workers=2)
+        return out
+    return written
+
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("variant", sorted(MANIFEST_SHA256))
@@ -90,7 +121,28 @@ def test_validate_stdout_is_pinned(tmp_path, variant):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == VALIDATE_STDOUT_SHA256[variant]
 
 
+@pytest.mark.parametrize("variant", sorted(WIDE_MANIFEST_SHA256))
+def test_two_shard_manifest_bytes_are_pinned(wide_dataset, variant):
+    raw = (wide_dataset(variant) / "manifest.json").read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == WIDE_MANIFEST_SHA256[variant]
+
+
+def test_two_shard_validate_stdout_is_pinned(wide_dataset):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["validate", "--in", str(wide_dataset("impaired-train")),
+                         "--sample", "8"])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == WIDE_VALIDATE_STDOUT_SHA256
+
+
 def test_server_batch_bytes_are_pinned():
     payload = build_batch(dict(BATCH_REQUEST), ServerDefaults())
     assert len(payload) == BATCH_BYTES
     assert hashlib.sha256(payload).hexdigest() == BATCH_SHA256
+
+
+def test_far_odd_length_batch_bytes_are_pinned():
+    payload = build_batch(dict(FAR_BATCH_REQUEST), ServerDefaults())
+    assert len(payload) == FAR_BATCH_BYTES
+    assert hashlib.sha256(payload).hexdigest() == FAR_BATCH_SHA256
