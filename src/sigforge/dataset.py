@@ -37,13 +37,16 @@ bytes depend only on the config — not on worker count, scheduling, or
 platform (for equal float widths). Frames are computed in float64 and
 stored as float32; the determinism contract covers the stored values.
 
-write_shards cuts each shard into _TASK_SIZE-example tasks. A task writes
-its IQ into the shard file at the task's own offset and hands back only
-its metadata, which the parent appends in task order; the parent then
-reads that IQ back to hash it. Each shard is written under a ``.tmp``
-name and renamed once complete, and manifest.json is renamed into place
-last, so an interrupted run leaves no manifest and no final-named file
-that is incomplete.
+iter_range is the one loop that turns a range of examples into bytes,
+for write_shards and for the batch server alike. It cuts the range into
+_TASK_SIZE-example tasks; a task writes its IQ into a file the caller
+holds open, at the task's own offset, and hands back only its metadata;
+iter_range reads that IQ back and yields both in task order. write_shards
+passes a shard file and hashes what comes back, and the server a memory
+file per batch. Each shard is written under a ``.tmp`` name and renamed
+once complete, and manifest.json is renamed into place last, so an
+interrupted run leaves no manifest and no final-named file that is
+incomplete.
 
 Readers take a shard's IQ in the same _TASK_SIZE-frame blocks, through
 _shards, the one loop over shard files. verify_digests, validate and an
@@ -92,10 +95,10 @@ DEFAULT_SHARD_SIZE = 4096
 # shift, and shorter frames make some classes fail to generate; at 64,
 # every class of both variants generated over 40 seeds.
 MIN_FRAME_LEN = 64
-# Examples per task of write_shards and iter_range: small enough to keep
-# pool workers evenly loaded (a default 32-frame batch is 4 tasks) and to
-# stream a shard to disk rather than hold it in memory, large enough to
-# amortize a pool task's round trip.
+# Examples per task of iter_range, for shards and server batches alike:
+# small enough to keep pool workers evenly loaded (a default 32-frame batch
+# is 4 tasks) and to stream a shard to disk rather than hold it in memory,
+# large enough to amortize a pool task's round trip.
 _TASK_SIZE = 8
 # Free one 4 MiB block at import: glibc's malloc then raises its mmap
 # threshold to 4 MiB and its trim threshold to 8 MiB, so the frame and
@@ -308,50 +311,53 @@ def fork_pool(workers: int) -> multiprocessing.pool.Pool | None:
     return pool
 
 
-def _generate_task(config: DatasetConfig, task: tuple[int, int]) -> tuple[bytes, bytes]:
-    """generate_range for one (start, count) pair, the one argument that
-    pool.imap passes."""
-    return generate_range(config, *task)
-
-
-def iter_range(config: DatasetConfig, start: int, count: int,
-               pool: multiprocessing.pool.Pool | None = None) -> Iterator[tuple[bytes, bytes]]:
-    """generate_range(config, start, count) as the (IQ bytes, meta bytes)
-    of its _TASK_SIZE-example sub-ranges, in index order, so the parts
-    concatenate to generate_range's output. With a pool the sub-ranges run
-    on its workers and their bytes come back through the pool's pipes;
-    map and imap both yield in task order, so the bytes do not depend on
-    scheduling. The server builds its batches this way; write_shards has
-    its tasks write IQ into the shard file instead."""
-    generate = functools.partial(_generate_task, config)
-    tasks = _ranges(start, count, _TASK_SIZE)
-    return map(generate, tasks) if pool is None else pool.imap(generate, tasks)
-
-
-def _write_task(config: DatasetConfig, iq_path: str, shard_start: int,
+def _write_task(config: DatasetConfig, path: str, identity: os.stat_result, start: int,
                 task: tuple[int, int]) -> bytes:
-    """Generate the (first, n) sub-range of the shard that starts at
-    shard_start, write its IQ into the existing file iq_path at the
-    sub-range's offset and return its meta bytes."""
+    """Generate the (first, n) sub-range of the range that starts at start,
+    write its IQ into the file at path, at the sub-range's offset from
+    start, and return its meta bytes. Raises OSError (ESTALE) and writes
+    nothing unless the file opened is the one whose os.stat_result is
+    identity: path names a descriptor of the caller, which may have been
+    closed, and its number reused, before a queued task runs."""
     first, count = task
     iq_bytes, meta_bytes = generate_range(config, first, count)
     view = memoryview(iq_bytes)
-    offset = (first - shard_start) * 8 * config.frame_len
-    fd = os.open(iq_path, os.O_WRONLY)
-    try:
+    offset = (first - start) * 8 * config.frame_len
+    with open(path, "r+b", buffering=0) as file:
+        if not os.path.samestat(os.fstat(file.fileno()), identity):
+            raise OSError(errno.ESTALE, f"{path} is no longer the file of range {start}")
         while view:
-            written = os.pwrite(fd, view, offset)
+            written = os.pwrite(file.fileno(), view, offset)
             view, offset = view[written:], offset + written
-    finally:
-        os.close(fd)
     return meta_bytes
+
+
+def iter_range(config: DatasetConfig, fd: int, start: int, count: int,
+               pool: multiprocessing.pool.Pool | None = None) -> Iterator[tuple[bytes, bytes]]:
+    """generate_range(config, start, count) as the (IQ bytes, meta bytes)
+    of its _TASK_SIZE-example sub-ranges, in index order, so the parts
+    concatenate to generate_range's output. Each sub-range is a
+    _write_task, run on the pool's workers if one is given, else in this
+    process; it writes its IQ into fd, a file open for reading and writing
+    that this process holds, at the sub-range's offset from start, through
+    /proc/<pid>/fd (so Linux only), and only its meta bytes come back.
+    map and imap both yield in task order, and each task's IQ is read back
+    from fd as it comes, so the bytes do not depend on scheduling. Raises
+    OSError (EIO) for IQ that never reached the file."""
+    write = functools.partial(_write_task, config, f"/proc/{os.getpid()}/fd/{fd}",
+                              os.fstat(fd), start)
+    tasks = _ranges(start, count, _TASK_SIZE)
+    frame_bytes = 8 * config.frame_len
+    results = map(write, tasks) if pool is None else pool.imap(write, tasks)
+    for (first, n), meta_bytes in zip(tasks, results):
+        yield _pread_exact(fd, n * frame_bytes, (first - start) * frame_bytes), meta_bytes
 
 
 def _pread_exact(fd: int, size: int, offset: int) -> bytes:
     """size bytes of fd from offset. Raises OSError on a short read, so IQ
-    that never reached the file fails the write rather than being hashed
-    as a hole. Asks for no more than the file holds past offset, so a
-    size past it is a short read, not a size-byte allocation."""
+    that never reached the file fails the range rather than being hashed
+    or served as a hole. Asks for no more than the file holds past offset,
+    so a size past it is a short read, not a size-byte allocation."""
     available = os.fstat(fd).st_size - offset
     data = os.pread(fd, min(size, available), offset) if available > 0 else b""
     if len(data) != size:
@@ -378,11 +384,11 @@ def write_shards(config: DatasetConfig, out_dir: str | Path, workers: int = 1,
 
     The shards are those of the one layout (see the module docstring):
     DEFAULT_SHARD_SIZE examples each, the last one shorter; no caller
-    chooses another. Each shard's _TASK_SIZE-example tasks run on a pool
-    of `workers` forked processes (inline at 1). A task writes its IQ
-    straight into the shard file and returns only its meta bytes; the
-    parent takes the results in task order, appends the meta and reads
-    the task's IQ back to hash it, so it holds one task's bytes at a time.
+    chooses another. Each shard's range runs through iter_range on a pool
+    of `workers` forked processes (inline at 1): its tasks write IQ
+    straight into the shard file, and the parent takes each task's IQ and
+    meta in task order, appends the meta and hashes both, so it holds one
+    task's bytes at a time.
     Both shard files are written under a .tmp name and renamed once
     complete, and manifest.json is renamed into place last: a run that
     raises or is killed leaves no manifest and no incomplete file under a
@@ -399,7 +405,6 @@ def write_shards(config: DatasetConfig, out_dir: str | Path, workers: int = 1,
                   *out_path.glob("shard-*.tmp"), manifest_path, _tmp(manifest_path)]:
         stale.unlink(missing_ok=True)
 
-    frame_bytes = 8 * config.frame_len
     overall = hashlib.sha256()
     shard_entries = []
     with fork_pool(workers) or contextlib.nullcontext() as pool:
@@ -407,15 +412,10 @@ def write_shards(config: DatasetConfig, out_dir: str | Path, workers: int = 1,
             name, start = shard["name"], shard["start_index"]
             iq_path, meta_path = out_path / f"{name}.iq", out_path / f"{name}.meta.jsonl"
             iq_sha256, meta_sha256 = hashlib.sha256(), hashlib.sha256()
-            tasks = _ranges(start, shard["count"], _TASK_SIZE)
-            write = functools.partial(_write_task, config, str(_tmp(iq_path)), start)
-            # the IQ file exists before the first task opens it by path
             with open(_tmp(iq_path), "w+b") as iq_file, open(_tmp(meta_path), "wb") as meta_file:
-                results = map(write, tasks) if pool is None else pool.imap(write, tasks)
-                for (first, n), meta_bytes in zip(tasks, results):
+                for iq_bytes, meta_bytes in iter_range(config, iq_file.fileno(), start,
+                                                       shard["count"], pool):
                     meta_file.write(meta_bytes)
-                    iq_bytes = _pread_exact(iq_file.fileno(), n * frame_bytes,
-                                            (first - start) * frame_bytes)
                     iq_sha256.update(iq_bytes)
                     meta_sha256.update(meta_bytes)
                     overall.update(iq_bytes)

@@ -29,13 +29,16 @@ A batch is dataset.generate_range(config, start_index, batch_size) for
 the DatasetConfig the request describes, so example k of a batch is
 dataset example start_index+k of that variant and seed. BatchServer
 generates it on a process pool with one worker per usable CPU, through
-dataset.iter_range: the 8-example sub-ranges write_shards uses too, but
-with each sub-range's bytes sent back through the pool's pipes. The
-response is a pure function of the request: identical requests get
-identical bytes no matter which client sends them, when, or which worker
-generates them. A malformed header draws an error frame and a close; a
-well-framed but invalid request draws an error frame and the connection
-stays usable.
+dataset.iter_range, the loop write_shards runs too: its 8-example tasks
+write their IQ into one memory file per batch (os.memfd_create, so Linux
+with /proc mounted), which is read back and closed once the batch is
+built; only metadata goes through the pool's pipes. The response is a
+pure function of the request: identical requests get identical bytes no
+matter which client sends them, when, or which worker generates them. A
+malformed header draws an error frame and a close; a well-framed but
+invalid request draws an error frame and the connection stays usable;
+any other failure to build a batch draws an "internal error: ..." error
+frame and a close.
 """
 
 from __future__ import annotations
@@ -139,7 +142,8 @@ def build_batch(request: dict, defaults: "ServerDefaults",
     """Generate the response payload for a request dict, on the pool's
     workers if one is given, else in this process; the bytes are the same.
     Raises RequestError if a field is unknown, has the wrong type or is out
-    of range."""
+    of range, and OSError if the batch's memory file cannot be made or
+    its IQ never reached it."""
     unknown = sorted(set(request) - set(_REQUEST_FIELDS))
     if unknown:
         raise RequestError(f"unknown request field(s) {', '.join(map(repr, unknown))}; "
@@ -153,7 +157,9 @@ def build_batch(request: dict, defaults: "ServerDefaults",
         check_int("start_index", start_index, 0)
     except (TypeError, ValueError) as exc:
         raise RequestError(str(exc)) from exc
-    iq_parts, meta_parts = zip(*iter_range(config, start_index, batch_size, pool))
+    with os.fdopen(os.memfd_create("sigforge-batch"), "rb") as iq_file:
+        iq_parts, meta_parts = zip(*iter_range(config, iq_file.fileno(), start_index,
+                                               batch_size, pool))
     meta_blob = b"".join(meta_parts)
     header = json.dumps({
         "count": batch_size,
@@ -189,13 +195,6 @@ class _Handler(socketserver.BaseRequestHandler):
                 if length > _MAX_REQUEST_BYTES:
                     raise ProtocolError(f"payload of {length} bytes exceeds limit")
                 payload = recv_exact(sock, length)
-            except (ConnectionError, TimeoutError):
-                return
-            except ProtocolError as exc:
-                with contextlib.suppress(OSError):
-                    _send_frame(sock, MSG_ERROR, _error_payload(str(exc)))
-                return
-            try:
                 if message_type != MSG_REQUEST:
                     raise RequestError(f"unexpected message type {message_type}")
                 try:
@@ -205,8 +204,15 @@ class _Handler(socketserver.BaseRequestHandler):
                 if not isinstance(request, dict):
                     raise RequestError("request must be a JSON object")
                 reply = MSG_RESPONSE, build_batch(request, self.server.defaults, self.server.pool)
+            except (ConnectionError, TimeoutError):
+                return
             except RequestError as exc:
                 reply = MSG_ERROR, _error_payload(str(exc))
+            except Exception as exc:  # bad framing, or the server's own fault: say which, and close
+                message = str(exc) if isinstance(exc, ProtocolError) else f"internal error: {exc!r}"
+                with contextlib.suppress(OSError):
+                    _send_frame(sock, MSG_ERROR, _error_payload(message))
+                return
             try:
                 _send_frame(sock, *reply)
             except OSError:  # the peer is gone or stopped reading

@@ -2,6 +2,7 @@
 
 import builtins
 import collections
+import contextlib
 import dataclasses
 import errno
 import functools
@@ -15,6 +16,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +57,7 @@ from sigforge.dataset import (
 from sigforge.impairments import DEFAULT_PROFILE, NO_IMPAIRMENT_PROFILE
 from sigforge.registry import CLASS_LIST, NUM_CLASSES
 from sigforge.rng import derive_stream
+from sigforge.server import ServerDefaults, build_batch
 
 
 def small_config(variant="clean-train", epc=2, seed=3, frame_len=256):
@@ -154,12 +157,15 @@ def test_plan_round_robin():
 
 def test_iter_range_cuts_task_sized_parts_in_index_order():
     config = small_config(epc=1, frame_len=MIN_FRAME_LEN)
-    parts = list(iter_range(config, 50, 13))  # crosses the class wrap at 53
-    assert [len(iq) // (MIN_FRAME_LEN * 8) for iq, _meta in parts] == [8, 5]
-    iq, meta = generate_range(config, 50, 13)
-    assert b"".join(p[0] for p in parts) == iq
-    assert b"".join(p[1] for p in parts) == meta
-    assert list(iter_range(config, 7, 0)) == []
+    with os.fdopen(os.memfd_create("iq"), "rb") as iq_file:
+        parts = list(iter_range(config, iq_file.fileno(), 50, 13))  # crosses the class wrap at 53
+        assert [len(iq) // (MIN_FRAME_LEN * 8) for iq, _meta in parts] == [8, 5]
+        iq, meta = generate_range(config, 50, 13)
+        assert b"".join(p[0] for p in parts) == iq
+        assert b"".join(p[1] for p in parts) == meta
+        # each part was written at its offset from the range's start
+        assert os.pread(iq_file.fileno(), len(iq) + 1, 0) == iq
+        assert list(iter_range(config, iq_file.fileno(), 7, 0)) == []
 
 
 def test_serialization_round_trip():
@@ -531,6 +537,11 @@ def test_iq_that_never_reached_the_file_is_not_hashed(tmp_path, monkeypatch, wor
         write_shards(small_config(epc=1), target, workers=workers)
     assert raised.value.errno == errno.EIO
     assert not (target / "manifest.json").exists()
+    # nor served: a batch's IQ is read back from its memory file the same way
+    with dataset_module.fork_pool(workers) or contextlib.nullcontext() as pool:
+        with pytest.raises(OSError) as raised:
+            build_batch({"batch_size": 13, "frame_len": MIN_FRAME_LEN}, ServerDefaults(), pool)
+    assert raised.value.errno == errno.EIO
 
 
 def test_short_iq_writes_are_completed(tmp_path, monkeypatch, shard_size):
@@ -974,3 +985,78 @@ def test_validate_rejects_a_bad_sample_before_reading(tmp_path):
         validate(tmp_path, -1)
     with pytest.raises(TypeError):
         validate(tmp_path, 1.5)
+
+
+def _json_paths(value, path=()):
+    """The key path of every value nested in a JSON object or array."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    return [sub for key, child in items for sub in [(*path, key), *_json_paths(child, (*path, key))]]
+
+
+def _replace(value, path, junk):
+    for key in path[:-1]:
+        value = value[key]
+    value[path[-1]] = junk
+
+
+_junk = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=5)
+
+
+@pytest.fixture(scope="module")
+def hostile_base(tmp_path_factory):
+    """One impaired shard of 53 short examples, for edits to copies of it."""
+    root = tmp_path_factory.mktemp("hostile") / "ds"
+    write_shards(DatasetConfig("impaired-val", 1, 5, frame_len=MIN_FRAME_LEN), root)
+    return root
+
+
+@settings(max_examples=60, deadline=None)
+@given(line=st.integers(0, NUM_CLASSES), choice=st.integers(0, 1 << 16), junk=_junk)
+def test_re_digested_junk_draws_only_typed_errors(hostile_base, line, choice, junk):
+    # one value of meta line `line`, or of the manifest for line 53, becomes
+    # junk, and every digest over it is recomputed, so only checks of the
+    # content itself stand between the junk and the readers
+    with tempfile.TemporaryDirectory() as tmp:
+        root = shutil.copytree(hostile_base, Path(tmp, "ds"))
+        manifest = json.loads((root / "manifest.json").read_text())
+        meta_path = root / "shard-00000.meta.jsonl"
+        lines = meta_path.read_bytes().splitlines(keepends=True)
+        if line < len(lines):
+            meta = json.loads(lines[line])
+            paths = _json_paths(meta)
+            _replace(meta, paths[choice % len(paths)], junk)
+            lines[line] = meta_to_line(meta)
+            meta_path.write_bytes(b"".join(lines))
+            manifest["shards"][0]["meta_sha256"] = hashlib.sha256(b"".join(lines)).hexdigest()
+        else:
+            paths = _json_paths(manifest)
+            _replace(manifest, paths[choice % len(paths)], junk)
+        manifest["manifest_sha256"] = manifest_digest(manifest)
+        (root / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2))
+
+        frames = [frame for frame, _meta in read(hostile_base)]
+        stored = [json.loads(raw) for raw in lines]
+        typed = (ValueError, OSError, IndexError)
+        with contextlib.suppress(*typed):
+            load_manifest(root)
+        with contextlib.suppress(*typed):
+            verify_digests(root)
+        with contextlib.suppress(*typed):
+            # what a reader returns is what is stored: the IQ, which no edit
+            # touched, and the meta lines as edited
+            got = list(read(root))
+            assert all(np.array_equal(a, b) for a, b in zip([f for f, _m in got], frames))
+            assert [m for _f, m in got] == stored and len(got) == len(frames)
+        with contextlib.suppress(*typed):
+            index = line % len(lines)
+            frame, meta = read_example(root, index)
+            assert np.array_equal(frame, frames[index]) and meta == stored[index]
+        with contextlib.suppress(*typed):
+            # every example is sampled, so a pass means the meta is as written
+            if all(result.ok for result in validate(root, sample=len(lines))):
+                assert b"".join(lines) == (hostile_base / "shard-00000.meta.jsonl").read_bytes()

@@ -1,5 +1,6 @@
 """Wire protocol framing, request handling, and statelessness."""
 
+import errno
 import json
 import multiprocessing
 import os
@@ -18,12 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import child_pids
+from sigforge import dataset as dataset_module
 from sigforge import server as server_module
 from sigforge.dataset import (
     MIN_FRAME_LEN,
     VARIANTS,
     DatasetConfig,
     bytes_to_frames,
+    fork_pool,
     frame_to_bytes,
     generate_example,
 )
@@ -506,7 +509,10 @@ def test_client_that_stops_reading_is_disconnected(server, monkeypatch):
         stalled.sendall(pack_frame(MSG_REQUEST, json.dumps(
             {"batch_size": 64, "variant": "clean-train"}).encode()))
         deadline = time.monotonic() + 30
-        while not (handlers := set(threading.enumerate()) - before):
+        # alive: a thread whose start() has not returned is listed too, and
+        # cannot be joined yet
+        while not (handlers := {t for t in set(threading.enumerate()) - before
+                                if t.is_alive()}):
             assert time.monotonic() < deadline
             time.sleep(0.01)
         for handler in handlers:  # never reads, yet its handler thread ends
@@ -567,3 +573,97 @@ def test_sigterm_stops_serve_and_every_pool_worker():
     assert out.startswith(b"serving on") and err == b""  # no worker traceback
     # the server reaped its workers before it exited
     assert not [pid for pid in workers if Path(f"/proc/{pid}").exists()]
+
+
+def _error_then_close(port, request):
+    """The message of the error frame the server sends for request, after
+    which it closes the connection."""
+    with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
+        sock.sendall(pack_frame(MSG_REQUEST, json.dumps(request).encode()))
+        message_type, payload = read_frame(sock)
+        assert message_type == MSG_ERROR
+        assert sock.recv(1) == b""
+    return json.loads(payload)["error"]
+
+
+def test_a_batch_that_fails_to_build_draws_an_error_frame(server, monkeypatch, capsys):
+    error = OSError(errno.EMFILE, "Too many open files")
+
+    def failing_build_batch(request, defaults, pool=None):
+        raise error
+
+    monkeypatch.setattr(server_module, "build_batch", failing_build_batch)
+    assert _error_then_close(server.port, {"batch_size": 1}) == f"internal error: {error!r}"
+    with pytest.raises(RequestError, match="internal error: OSError"):
+        request_batch("127.0.0.1", server.port, batch_size=1)
+    assert "Traceback" not in capsys.readouterr().err  # no handler thread died
+
+
+def test_iq_that_never_reached_the_memory_file_draws_an_error_frame(monkeypatch):
+    # forked after the patch, so the workers' writes claim success too
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: len(data))
+    monkeypatch.setattr(server_module.os, "sched_getaffinity", lambda pid: {0, 1})
+    for srv in _start(BatchServer(("127.0.0.1", 0))):
+        assert srv.pool is not None
+        assert _error_then_close(srv.port, {"batch_size": 9}).startswith(
+            f"internal error: OSError({errno.EIO}, 'read 0 of ")
+
+
+# The stale-task test's hooks. They are module-level, so that a pool task
+# can name them, and set before its pool forks, so that its workers share
+# _STALE_FLAGS, the directory through which the test orders events across
+# processes.
+_STALE_START = 1000
+_STALE_FLAGS = None
+_real_write_task = dataset_module._write_task
+
+
+def _wait_for(condition):
+    deadline = time.monotonic() + 30
+    while not condition():
+        assert time.monotonic() < deadline
+        time.sleep(0.005)
+
+
+def _failing_then_late_write_task(config, path, identity, start, task):
+    """The batch at _STALE_START fails in its first task, while its second
+    one waits, past that failure, until the next batch's parent reads its
+    first task's IQ and that batch's second task has written its own, then
+    writes into whatever file `path` names by then."""
+    first, count = task
+    if start == _STALE_START and first == start:
+        raise RuntimeError("a task of the batch failed")
+    if start != _STALE_START:
+        return _real_write_task(config, path, identity, start, task)
+    try:
+        _wait_for(lambda: (_STALE_FLAGS / "reading").exists())
+        _wait_for(lambda: os.stat(path).st_size >= 2 * count * 8 * config.frame_len)
+        return _real_write_task(config, path, identity, start, task)
+    finally:
+        (_STALE_FLAGS / "late-task-done").touch()
+
+
+def test_a_failed_batchs_late_task_cannot_write_into_the_next_batch(tmp_path, monkeypatch):
+    fields = {"variant": "clean-train", "frame_len": MIN_FRAME_LEN, "batch_size": 16}
+    failing, following = {**fields, "start_index": _STALE_START}, {**fields, "start_index": 0}
+    want = build_batch(following, ServerDefaults())
+    monkeypatch.setattr(sys.modules[__name__], "_STALE_FLAGS", tmp_path)
+    monkeypatch.setattr(dataset_module, "_write_task", _failing_then_late_write_task)
+    fds = []
+    memfd_create = os.memfd_create
+    monkeypatch.setattr(os, "memfd_create", lambda name: fds.append(memfd_create(name)) or fds[-1])
+    with fork_pool(2) as pool:
+        with pytest.raises(RuntimeError, match="a task of the batch failed"):
+            build_batch(failing, ServerDefaults(), pool)
+        pread_exact = dataset_module._pread_exact
+
+        def pread_after_the_late_task(fd, size, offset):
+            if not (tmp_path / "reading").exists():
+                (tmp_path / "reading").touch()
+                _wait_for(lambda: (tmp_path / "late-task-done").exists())
+            return pread_exact(fd, size, offset)
+
+        monkeypatch.setattr(dataset_module, "_pread_exact", pread_after_the_late_task)
+        got = build_batch(following, ServerDefaults(), pool)
+    assert fds[0] == fds[1]  # the next batch's file took the failed one's number
+    assert got == want
