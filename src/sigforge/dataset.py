@@ -41,12 +41,13 @@ iter_range is the one loop that turns a range of examples into bytes,
 for write_shards and for the batch server alike. It cuts the range into
 _TASK_SIZE-example tasks; a task writes its IQ into a file the caller
 holds open, at the task's own offset, and hands back only its metadata;
-iter_range reads that IQ back and yields both in task order. write_shards
-passes a shard file and hashes what comes back, and the server a memory
-file per batch. Each shard is written under a ``.tmp`` name and renamed
-once complete, and manifest.json is renamed into place last, so an
-interrupted run leaves no manifest and no final-named file that is
-incomplete.
+iter_range yields that metadata in task order and never reads the IQ,
+and no task outlives its range. write_shards passes a shard file and
+reads each task's IQ back to hash it; the server passes a memory file
+per batch and sends the IQ straight from it. Each shard is written
+under a ``.tmp`` name and renamed once complete, and manifest.json is
+renamed into place last, so an interrupted run leaves no manifest and
+no final-named file that is incomplete.
 
 Readers take a shard's IQ in the same _TASK_SIZE-frame blocks, through
 _shards, the one loop over shard files. verify_digests, validate and an
@@ -315,17 +316,19 @@ def _write_task(config: DatasetConfig, path: str, identity: os.stat_result, star
                 task: tuple[int, int]) -> bytes:
     """Generate the (first, n) sub-range of the range that starts at start,
     write its IQ into the file at path, at the sub-range's offset from
-    start, and return its meta bytes. Raises OSError (ESTALE) and writes
-    nothing unless the file opened is the one whose os.stat_result is
-    identity: path names a descriptor of the caller, which may have been
-    closed, and its number reused, before a queued task runs."""
+    start, and return its meta bytes. Raises OSError (ESTALE) unless the
+    file opened is the one whose os.stat_result is identity, or ENOENT
+    if path names no file: path names a descriptor of the caller, which
+    may have been closed, and its number reused, before a queued task
+    runs. Both are checked before anything is generated, so a task left
+    behind by a range that already failed gives its worker back at once."""
     first, count = task
-    iq_bytes, meta_bytes = generate_range(config, first, count)
-    view = memoryview(iq_bytes)
     offset = (first - start) * 8 * config.frame_len
     with open(path, "r+b", buffering=0) as file:
         if not os.path.samestat(os.fstat(file.fileno()), identity):
             raise OSError(errno.ESTALE, f"{path} is no longer the file of range {start}")
+        iq_bytes, meta_bytes = generate_range(config, first, count)
+        view = memoryview(iq_bytes)
         while view:
             written = os.pwrite(file.fileno(), view, offset)
             view, offset = view[written:], offset + written
@@ -333,24 +336,52 @@ def _write_task(config: DatasetConfig, path: str, identity: os.stat_result, star
 
 
 def iter_range(config: DatasetConfig, fd: int, start: int, count: int,
-               pool: multiprocessing.pool.Pool | None = None) -> Iterator[tuple[bytes, bytes]]:
-    """generate_range(config, start, count) as the (IQ bytes, meta bytes)
-    of its _TASK_SIZE-example sub-ranges, in index order, so the parts
-    concatenate to generate_range's output. Each sub-range is a
-    _write_task, run on the pool's workers if one is given, else in this
-    process; it writes its IQ into fd, a file open for reading and writing
-    that this process holds, at the sub-range's offset from start, through
-    /proc/<pid>/fd (so Linux only), and only its meta bytes come back.
-    map and imap both yield in task order, and each task's IQ is read back
-    from fd as it comes, so the bytes do not depend on scheduling. Raises
-    OSError (EIO) for IQ that never reached the file."""
-    write = functools.partial(_write_task, config, f"/proc/{os.getpid()}/fd/{fd}",
-                              os.fstat(fd), start)
+               pool: multiprocessing.pool.Pool | None = None
+               ) -> Iterator[tuple[tuple[int, int], bytes]]:
+    """Write generate_range(config, start, count)'s IQ into fd and yield
+    each of its _TASK_SIZE-example (first, n) sub-ranges with its meta
+    bytes, in index order, so the meta concatenates to generate_range's.
+    Each sub-range is a _write_task, run on the pool's workers if one is
+    given, else in this process; it writes its IQ into fd, a file open for
+    reading and writing that this process holds, at the sub-range's offset
+    from start, through /proc/<pid>/fd (so Linux only), and only its meta
+    bytes come back. map and imap both yield in task order, and a
+    sub-range is yielded once its IQ is in fd, so the bytes do not depend
+    on scheduling; iter_range itself reads no IQ. After the last one it
+    raises OSError (EIO) unless fd holds exactly the range's IQ.
+
+    The tasks write through a duplicate of fd that iter_range closes when
+    the range ends, and on a pool it then waits for every task of the
+    range. So a range that ends early, because a task raised or the caller
+    stopped, returns once its running tasks have ended, while its queued
+    ones fail at _write_task's open without generating: no task outlives
+    its range, and a pool terminated after it has no worker left sending a
+    result (Pool.terminate can hang on a worker killed mid-send)."""
+    own = os.dup(fd)
+    write = functools.partial(_write_task, config, f"/proc/{os.getpid()}/fd/{own}",
+                              os.fstat(own), start)
     tasks = _ranges(start, count, _TASK_SIZE)
-    frame_bytes = 8 * config.frame_len
     results = map(write, tasks) if pool is None else pool.imap(write, tasks)
-    for (first, n), meta_bytes in zip(tasks, results):
-        yield _pread_exact(fd, n * frame_bytes, (first - start) * frame_bytes), meta_bytes
+    try:
+        yield from zip(tasks, results)
+        size, held = count * 8 * config.frame_len, os.fstat(fd).st_size
+        if held != size:
+            raise OSError(errno.EIO, f"the IQ file holds {held} bytes, the range's IQ is {size}")
+    finally:
+        os.close(own)
+        if pool is not None:  # inline, nothing runs past the task that raised
+            _wait_all(results)
+
+
+def _wait_all(results: Iterator) -> None:
+    """Exhaust a pool's imap iterator, passing over the tasks that raised."""
+    while True:
+        try:
+            next(results)
+        except StopIteration:
+            return
+        except Exception:
+            pass
 
 
 def _pread_exact(fd: int, size: int, offset: int) -> bytes:
@@ -386,9 +417,9 @@ def write_shards(config: DatasetConfig, out_dir: str | Path, workers: int = 1,
     DEFAULT_SHARD_SIZE examples each, the last one shorter; no caller
     chooses another. Each shard's range runs through iter_range on a pool
     of `workers` forked processes (inline at 1): its tasks write IQ
-    straight into the shard file, and the parent takes each task's IQ and
-    meta in task order, appends the meta and hashes both, so it holds one
-    task's bytes at a time.
+    straight into the shard file, and the parent takes each task's meta
+    in task order, reads the task's IQ back from the file, appends the
+    meta and hashes both, so it holds one task's bytes at a time.
     Both shard files are written under a .tmp name and renamed once
     complete, and manifest.json is renamed into place last: a run that
     raises or is killed leaves no manifest and no incomplete file under a
@@ -407,14 +438,17 @@ def write_shards(config: DatasetConfig, out_dir: str | Path, workers: int = 1,
 
     overall = hashlib.sha256()
     shard_entries = []
+    frame_bytes = 8 * config.frame_len
     with fork_pool(workers) or contextlib.nullcontext() as pool:
         for shard in _layout(config.total_examples):
             name, start = shard["name"], shard["start_index"]
             iq_path, meta_path = out_path / f"{name}.iq", out_path / f"{name}.meta.jsonl"
             iq_sha256, meta_sha256 = hashlib.sha256(), hashlib.sha256()
             with open(_tmp(iq_path), "w+b") as iq_file, open(_tmp(meta_path), "wb") as meta_file:
-                for iq_bytes, meta_bytes in iter_range(config, iq_file.fileno(), start,
-                                                       shard["count"], pool):
+                for (first, n), meta_bytes in iter_range(config, iq_file.fileno(), start,
+                                                         shard["count"], pool):
+                    iq_bytes = _pread_exact(iq_file.fileno(), n * frame_bytes,
+                                            (first - start) * frame_bytes)
                     meta_file.write(meta_bytes)
                     iq_sha256.update(iq_bytes)
                     meta_sha256.update(meta_bytes)

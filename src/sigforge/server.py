@@ -31,8 +31,10 @@ dataset example start_index+k of that variant and seed. BatchServer
 generates it on a process pool with one worker per usable CPU, through
 dataset.iter_range, the loop write_shards runs too: its 8-example tasks
 write their IQ into one memory file per batch (os.memfd_create, so Linux
-with /proc mounted), which is read back and closed once the batch is
-built; only metadata goes through the pool's pipes. The response is a
+with /proc mounted), and only metadata goes through the pool's pipes.
+The server never reads that IQ itself: it sends the frame header and the
+header line, then the IQ straight from the memory file with sendfile,
+then the metadata, and closes the file. The response is a
 pure function of the request: identical requests get identical bytes no
 matter which client sends them, when, or which worker generates them. A
 malformed header draws an error frame and a close; a well-framed but
@@ -50,8 +52,9 @@ import os
 import socket
 import socketserver
 import struct
+from typing import BinaryIO, Iterator
 
-from sigforge.dataset import DatasetConfig, check_int, fork_pool, iter_range
+from sigforge.dataset import DatasetConfig, _pread_exact, check_int, fork_pool, iter_range
 from sigforge.frame import FRAME_LEN
 
 MAGIC = b"SG53"
@@ -96,10 +99,10 @@ def recv_exact(sock: socket.socket, count: int) -> bytes:
     return b"".join(chunks)
 
 
-def _send_frame(sock: socket.socket, message_type: int, payload: bytes) -> None:
-    """Send one frame a chunk at a time, so the socket's timeout bounds
-    each chunk rather than the whole frame; raises OSError on timeout."""
-    view = memoryview(pack_frame(message_type, payload))
+def _send_all(sock: socket.socket, data: bytes) -> None:
+    """Send data a chunk at a time, so the socket's timeout bounds each
+    chunk rather than the whole of it; raises OSError on timeout."""
+    view = memoryview(data)
     while view:
         view = view[sock.send(view):]
 
@@ -137,13 +140,13 @@ def _check_request(variant: object, seed: object, frame_len: object,
     return config
 
 
-def build_batch(request: dict, defaults: "ServerDefaults",
-                pool: multiprocessing.pool.Pool | None = None) -> bytes:
-    """Generate the response payload for a request dict, on the pool's
-    workers if one is given, else in this process; the bytes are the same.
-    Raises RequestError if a field is unknown, has the wrong type or is out
-    of range, and OSError if the batch's memory file cannot be made or
-    its IQ never reached it."""
+@contextlib.contextmanager
+def _batch(request: dict, defaults: "ServerDefaults", pool: multiprocessing.pool.Pool | None
+           ) -> Iterator[tuple[bytes, BinaryIO, bytes]]:
+    """Check a request dict and generate its batch into a memory file;
+    yields (header line, IQ file, meta bytes), the three parts of the
+    response payload in order, the IQ file holding exactly the batch's IQ
+    and closed on exit. Raises as build_batch does."""
     unknown = sorted(set(request) - set(_REQUEST_FIELDS))
     if unknown:
         raise RequestError(f"unknown request field(s) {', '.join(map(repr, unknown))}; "
@@ -158,16 +161,43 @@ def build_batch(request: dict, defaults: "ServerDefaults",
     except (TypeError, ValueError) as exc:
         raise RequestError(str(exc)) from exc
     with os.fdopen(os.memfd_create("sigforge-batch"), "rb") as iq_file:
-        iq_parts, meta_parts = zip(*iter_range(config, iq_file.fileno(), start_index,
-                                               batch_size, pool))
-    meta_blob = b"".join(meta_parts)
-    header = json.dumps({
-        "count": batch_size,
-        "frame_len": config.frame_len,
-        "dtype": "f32le-interleaved",
-        "meta_bytes": len(meta_blob),
-    }, sort_keys=True, separators=(",", ":")) + "\n"
-    return header.encode("utf-8") + b"".join(iq_parts) + meta_blob
+        meta_blob = b"".join(meta for _task, meta in iter_range(
+            config, iq_file.fileno(), start_index, batch_size, pool))
+        header = json.dumps({
+            "count": batch_size,
+            "frame_len": config.frame_len,
+            "dtype": "f32le-interleaved",
+            "meta_bytes": len(meta_blob),
+        }, sort_keys=True, separators=(",", ":")) + "\n"
+        yield header.encode("utf-8"), iq_file, meta_blob
+
+
+def build_batch(request: dict, defaults: "ServerDefaults",
+                pool: multiprocessing.pool.Pool | None = None) -> bytes:
+    """Generate the response payload for a request dict, on the pool's
+    workers if one is given, else in this process; the bytes are the same.
+    Raises RequestError if a field is unknown, has the wrong type or is out
+    of range, and OSError if the batch's memory file cannot be made or
+    its IQ never reached it."""
+    with _batch(request, defaults, pool) as (header, iq_file, meta_blob):
+        fd = iq_file.fileno()
+        return header + _pread_exact(fd, os.fstat(fd).st_size, 0) + meta_blob
+
+
+def _send_batch(sock: socket.socket, header: bytes, iq_file: BinaryIO, meta_blob: bytes) -> None:
+    """Send the response frame of a _batch: its IQ goes from the memory
+    file to the socket by sendfile, never through this process's memory.
+    The socket's timeout bounds each wait, as in _send_all. The three
+    writes are corked into one stream, so Nagle's algorithm cannot hold the
+    meta behind the IQ's last partial segment until the peer acknowledges
+    it."""
+    iq_size = os.fstat(iq_file.fileno()).st_size
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_CORK, 1)
+    _send_all(sock, HEADER.pack(MAGIC, PROTOCOL_VERSION, MSG_RESPONSE,
+                                len(header) + iq_size + len(meta_blob)) + header)
+    sock.sendfile(iq_file)
+    _send_all(sock, meta_blob)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_CORK, 0)
 
 
 class ServerDefaults:
@@ -203,18 +233,23 @@ class _Handler(socketserver.BaseRequestHandler):
                     raise RequestError(f"request is not valid JSON: {exc}") from exc
                 if not isinstance(request, dict):
                     raise RequestError("request must be a JSON object")
-                reply = MSG_RESPONSE, build_batch(request, self.server.defaults, self.server.pool)
+                with _batch(request, self.server.defaults, self.server.pool) as parts:
+                    try:
+                        _send_batch(sock, *parts)
+                    except OSError:  # the peer is gone or stopped reading
+                        return
+                continue
             except (ConnectionError, TimeoutError):
                 return
             except RequestError as exc:
-                reply = MSG_ERROR, _error_payload(str(exc))
+                error = pack_frame(MSG_ERROR, _error_payload(str(exc)))
             except Exception as exc:  # bad framing, or the server's own fault: say which, and close
                 message = str(exc) if isinstance(exc, ProtocolError) else f"internal error: {exc!r}"
                 with contextlib.suppress(OSError):
-                    _send_frame(sock, MSG_ERROR, _error_payload(message))
+                    _send_all(sock, pack_frame(MSG_ERROR, _error_payload(message)))
                 return
             try:
-                _send_frame(sock, *reply)
+                _send_all(sock, error)
             except OSError:  # the peer is gone or stopped reading
                 return
 
@@ -250,26 +285,40 @@ class BatchServer(socketserver.ThreadingTCPServer):
             self.pool.join()
 
 
+def _recv_into(sock: socket.socket, view: memoryview) -> None:
+    """Fill view from sock; raises ConnectionError if the peer closes first."""
+    while view:
+        received = sock.recv_into(view)
+        if not received:
+            raise ConnectionError("peer closed mid-frame")
+        view = view[received:]
+
+
 def request_batch(host: str, port: int, **fields) -> tuple[dict, bytes, bytes]:
     """Client helper: one request, returns (header, iq bytes, meta bytes).
     Raises RequestError for an error frame and ProtocolError for a reply
-    without a JSON header line or whose body is not the size it gives."""
+    without a JSON header line or whose body is not the size it gives.
+    The reply is read into one buffer of the length its frame header
+    gives, and the IQ and meta are cut out of it."""
     with socket.create_connection((host, port)) as sock:
         sock.sendall(pack_frame(MSG_REQUEST, json.dumps(fields).encode("utf-8")))
-        message_type, payload = read_frame(sock)
+        message_type, length = _read_header(sock)
+        payload = bytearray(length)
+        _recv_into(sock, memoryview(payload))
     if message_type == MSG_ERROR:
         raise RequestError(json.loads(payload.decode("utf-8"))["error"])
     if message_type != MSG_RESPONSE:
         raise ProtocolError(f"unexpected message type {message_type}")
-    head, newline, body = payload.partition(b"\n")
-    if not newline:
+    newline = payload.find(b"\n")
+    if newline < 0:
         raise ProtocolError("response has no header line")
     try:
-        header = json.loads(head.decode("utf-8"))
+        header = json.loads(payload[:newline].decode("utf-8"))
         iq_len = header["count"] * header["frame_len"] * 8
         size = iq_len + header["meta_bytes"]
     except (ValueError, KeyError, TypeError) as exc:  # not UTF-8, not JSON, not a header
         raise ProtocolError(f"bad response header: {exc!r}") from exc
+    body = memoryview(payload)[newline + 1:]
     if len(body) != size:
         raise ProtocolError(f"response body is {len(body)} bytes, its header gives {size}")
-    return header, body[:iq_len], body[iq_len:]
+    return header, bytes(body[:iq_len]), bytes(body[iq_len:])

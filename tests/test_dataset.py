@@ -159,13 +159,48 @@ def test_iter_range_cuts_task_sized_parts_in_index_order():
     config = small_config(epc=1, frame_len=MIN_FRAME_LEN)
     with os.fdopen(os.memfd_create("iq"), "rb") as iq_file:
         parts = list(iter_range(config, iq_file.fileno(), 50, 13))  # crosses the class wrap at 53
-        assert [len(iq) // (MIN_FRAME_LEN * 8) for iq, _meta in parts] == [8, 5]
+        assert [task for task, _meta in parts] == [(50, 8), (58, 5)]
+        assert [len(meta.splitlines()) for _task, meta in parts] == [8, 5]
         iq, meta = generate_range(config, 50, 13)
-        assert b"".join(p[0] for p in parts) == iq
-        assert b"".join(p[1] for p in parts) == meta
+        assert b"".join(meta for _task, meta in parts) == meta
         # each part was written at its offset from the range's start
         assert os.pread(iq_file.fileno(), len(iq) + 1, 0) == iq
+    with os.fdopen(os.memfd_create("iq"), "rb") as iq_file:
         assert list(iter_range(config, iq_file.fileno(), 7, 0)) == []
+
+
+def test_a_task_whose_file_is_gone_or_replaced_fails_before_generating(tmp_path, monkeypatch):
+    config = small_config(epc=1, frame_len=MIN_FRAME_LEN)
+    ours, other = tmp_path / "ours", tmp_path / "other"
+    ours.write_bytes(b"")
+    other.write_bytes(b"")
+    identity = os.stat(ours)
+    monkeypatch.setattr(dataset_module, "generate_range",
+                        lambda *args: pytest.fail("generated for a file not its own"))
+    with pytest.raises(OSError) as raised:
+        dataset_module._write_task(config, str(other), identity, 0, (0, 8))
+    assert raised.value.errno == errno.ESTALE
+    with pytest.raises(FileNotFoundError):
+        dataset_module._write_task(config, str(tmp_path / "gone"), identity, 0, (0, 8))
+    assert other.read_bytes() == b""
+
+
+def test_iter_range_refuses_a_file_that_does_not_hold_the_range(monkeypatch):
+    # checked once, after the last part: a file short of the range's IQ,
+    # or holding more than it, is EIO for every caller
+    config = small_config(epc=1, frame_len=MIN_FRAME_LEN)
+    frame_bytes = MIN_FRAME_LEN * 8
+    with os.fdopen(os.memfd_create("iq"), "r+b") as iq_file:
+        os.pwrite(iq_file.fileno(), b"x", 13 * frame_bytes)
+        parts = iter_range(config, iq_file.fileno(), 0, 13)
+        assert [task for task, _meta in itertools.islice(parts, 2)] == [(0, 8), (8, 5)]
+        with pytest.raises(OSError, match=f"holds {13 * frame_bytes + 1} bytes") as raised:
+            next(parts)
+        assert raised.value.errno == errno.EIO
+    monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: len(data))
+    with os.fdopen(os.memfd_create("iq"), "rb") as iq_file:
+        with pytest.raises(OSError, match=f"holds 0 bytes, the range's IQ is {frame_bytes}"):
+            list(iter_range(config, iq_file.fileno(), 0, 1))
 
 
 def test_serialization_round_trip():
@@ -537,7 +572,7 @@ def test_iq_that_never_reached_the_file_is_not_hashed(tmp_path, monkeypatch, wor
         write_shards(small_config(epc=1), target, workers=workers)
     assert raised.value.errno == errno.EIO
     assert not (target / "manifest.json").exists()
-    # nor served: a batch's IQ is read back from its memory file the same way
+    # nor served: iter_range refuses a batch's memory file short of its IQ
     with dataset_module.fork_pool(workers) or contextlib.nullcontext() as pool:
         with pytest.raises(OSError) as raised:
             build_batch({"batch_size": 13, "frame_len": MIN_FRAME_LEN}, ServerDefaults(), pool)

@@ -1,9 +1,11 @@
 """Wire protocol framing, request handling, and statelessness."""
 
+import contextlib
 import errno
 import json
 import multiprocessing
 import os
+import re
 import signal
 import socket
 import struct
@@ -494,14 +496,26 @@ def test_mid_frame_stall_is_disconnected(server, monkeypatch):
         assert header["count"] == 1
 
 
+def _small_send_buffer(handler):
+    handler.request.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+
+
 def test_client_that_stops_reading_is_disconnected(server, monkeypatch):
     monkeypatch.setattr(server_module, "_FRAME_TIMEOUT_S", 0.3)
     # small buffers at both ends, so the kernel cannot take all of the
     # 2 MiB reply (an autotuned send buffer grows to several MiB)
-    def small_send_buffer(handler):
-        handler.request.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    monkeypatch.setattr(server_module._Handler, "setup", _small_send_buffer)
+    sendfile_raised = []
+    sendfile = socket.socket.sendfile
 
-    monkeypatch.setattr(server_module._Handler, "setup", small_send_buffer)
+    def recording_sendfile(sock, *args, **kwargs):
+        try:
+            return sendfile(sock, *args, **kwargs)
+        except OSError as exc:
+            sendfile_raised.append(exc)
+            raise
+
+    monkeypatch.setattr(socket.socket, "sendfile", recording_sendfile)
     before = set(threading.enumerate())
     with socket.socket() as stalled:
         stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
@@ -518,9 +532,41 @@ def test_client_that_stops_reading_is_disconnected(server, monkeypatch):
         for handler in handlers:  # never reads, yet its handler thread ends
             handler.join(timeout=deadline - time.monotonic())
             assert not handler.is_alive()
+        # ended by the IQ's sendfile, whose wait the socket's timeout bounds
+        assert [type(exc) for exc in sendfile_raised] == [TimeoutError]
         header, _iq, _meta = request_batch("127.0.0.1", server.port,
                                            batch_size=1, frame_len=64)
         assert header["count"] == 1
+
+
+def test_a_reply_sent_in_pieces_to_a_slow_reader_is_build_batchs(server, monkeypatch):
+    # a 512 KiB reply through a 4 KiB send buffer to a 4 KiB receive
+    # buffer that is read a little at a time: sendfile sends it in pieces
+    monkeypatch.setattr(server_module._Handler, "setup", _small_send_buffer)
+    sent = []
+    sendfile = os.sendfile
+
+    def recording_sendfile(out_fd, in_fd, offset, count):
+        sent.append((count, sendfile(out_fd, in_fd, offset, count)))
+        return sent[-1][1]
+
+    monkeypatch.setattr(os, "sendfile", recording_sendfile)
+    request = {"batch_size": 16, "variant": "clean-train", "seed": 2}
+    with socket.socket() as slow:
+        slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        slow.settimeout(60)
+        slow.connect(("127.0.0.1", server.port))
+        slow.sendall(pack_frame(MSG_REQUEST, json.dumps(request).encode()))
+        reply = bytearray()
+        while len(reply) < HEADER.size or len(reply) < HEADER.size + HEADER.unpack(
+                reply[:HEADER.size])[3]:
+            chunk = slow.recv(4096)
+            assert chunk
+            reply += chunk
+            time.sleep(0.001)
+    assert bytes(reply) == pack_frame(MSG_RESPONSE, build_batch(request, ServerDefaults()))
+    assert sum(done for _count, done in sent) == 16 * FRAME_LEN * 8
+    assert any(0 < done < count for count, done in sent)  # partial sends happened
 
 
 def test_idle_connection_between_frames_is_kept(server, monkeypatch):
@@ -540,13 +586,15 @@ def _free_port():
         return sock.getsockname()[1]
 
 
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
-def test_sigterm_stops_serve_and_every_pool_worker():
+@contextlib.contextmanager
+def _serve(*args):
+    """A `sigforge serve` child on a free port, once it answers a request;
+    yields (its Popen, its port), and kills it on exit if it still runs."""
     port = _free_port()
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.Popen([sys.executable, "-m", "sigforge.cli", "serve", "--port", str(port)],
-                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc = subprocess.Popen([sys.executable, "-m", "sigforge.cli", "serve", "--port", str(port),
+                             *args], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
         deadline = time.monotonic() + 60
         while True:
@@ -556,6 +604,26 @@ def test_sigterm_stops_serve_and_every_pool_worker():
             except OSError:  # not listening yet
                 assert proc.poll() is None and time.monotonic() < deadline
                 time.sleep(0.05)
+        yield proc, port
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+
+
+def _peak_rss(pid="self"):
+    """VmHWM, the peak resident set size in bytes, of a process."""
+    status = Path(f"/proc/{pid}/status").read_text()
+    return 1024 * int(re.search(r"VmHWM:\s*(\d+) kB", status)[1])
+
+
+# 2048 frames of 4096 samples, 64 MiB of IQ
+_LARGE_BATCH = {"batch_size": 2048, "frame_len": 4096}
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_sigterm_stops_serve_and_every_pool_worker():
+    with _serve() as (proc, port):
         workers = child_pids(proc.pid)
         cpus = len(os.sched_getaffinity(0))
         assert len(workers) == (cpus if cpus > 1 else 0)
@@ -565,14 +633,52 @@ def test_sigterm_stops_serve_and_every_pool_worker():
             time.sleep(0.3)
             proc.send_signal(signal.SIGTERM)
             out, err = proc.communicate(timeout=20)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
     assert proc.returncode == 0, err
     assert out.startswith(b"serving on") and err == b""  # no worker traceback
     # the server reaped its workers before it exited
     assert not [pid for pid in workers if Path(f"/proc/{pid}").exists()]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_a_large_batch_does_not_raise_the_servers_peak_memory():
+    # its IQ goes from the batch's memory file to the socket by sendfile
+    with _serve("--variant", "clean-train") as (proc, port):
+        before = _peak_rss(proc.pid)
+        with socket.create_connection(("127.0.0.1", port), timeout=120) as sock:
+            sock.sendall(pack_frame(MSG_REQUEST, json.dumps(_LARGE_BATCH).encode()))
+            message_type, length = server_module._read_header(sock)
+            assert message_type == MSG_RESPONSE and length > 2048 * 4096 * 8
+            buffer = memoryview(bytearray(1 << 20))
+            while length:  # read and drop, a piece at a time
+                received = sock.recv_into(buffer[:length])
+                assert received
+                length -= received
+        growth = _peak_rss(proc.pid) - before
+    assert growth < 16 << 20, f"the server's peak RSS grew by {growth / 2 ** 20:.1f} MiB"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_request_batch_holds_a_large_reply_about_twice():
+    # one buffer for the frame, plus the IQ and meta cut out of it; the
+    # client runs in a child of its own, which reads its own VmHWM
+    code = ("import json, re, sys\n"
+            "from sigforge.server import request_batch\n"
+            "def peak():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return 1024 * int(re.search(r'VmHWM:\\s*(\\d+) kB', status.read())[1])\n"
+            "request_batch('127.0.0.1', int(sys.argv[1]), batch_size=1, frame_len=64)\n"
+            "before = peak()\n"
+            "header, iq, meta = request_batch('127.0.0.1', int(sys.argv[1]), **json.loads(sys.argv[2]))\n"
+            "print(peak() - before, len(iq) + len(meta))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    with _serve("--variant", "clean-train") as (_proc, port):
+        result = subprocess.run([sys.executable, "-c", code, str(port), json.dumps(_LARGE_BATCH)],
+                                env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    growth, reply = map(int, result.stdout.split())
+    assert reply > 2048 * 4096 * 8
+    assert growth < 2.5 * reply, f"peak RSS grew by {growth / reply:.2f} times the reply"
 
 
 def _error_then_close(port, request):
@@ -589,10 +695,10 @@ def _error_then_close(port, request):
 def test_a_batch_that_fails_to_build_draws_an_error_frame(server, monkeypatch, capsys):
     error = OSError(errno.EMFILE, "Too many open files")
 
-    def failing_build_batch(request, defaults, pool=None):
+    def failing_iter_range(config, fd, start, count, pool=None):
         raise error
 
-    monkeypatch.setattr(server_module, "build_batch", failing_build_batch)
+    monkeypatch.setattr(server_module, "iter_range", failing_iter_range)
     assert _error_then_close(server.port, {"batch_size": 1}) == f"internal error: {error!r}"
     with pytest.raises(RequestError, match="internal error: OSError"):
         request_batch("127.0.0.1", server.port, batch_size=1)
@@ -605,8 +711,9 @@ def test_iq_that_never_reached_the_memory_file_draws_an_error_frame(monkeypatch)
     monkeypatch.setattr(server_module.os, "sched_getaffinity", lambda pid: {0, 1})
     for srv in _start(BatchServer(("127.0.0.1", 0))):
         assert srv.pool is not None
-        assert _error_then_close(srv.port, {"batch_size": 9}).startswith(
-            f"internal error: OSError({errno.EIO}, 'read 0 of ")
+        assert _error_then_close(srv.port, {"batch_size": 9}) == (
+            f"internal error: OSError({errno.EIO}, "
+            f"\"the IQ file holds 0 bytes, the range's IQ is {9 * FRAME_LEN * 8}\")")
 
 
 # The stale-task test's hooks. They are module-level, so that a pool task
@@ -616,6 +723,7 @@ def test_iq_that_never_reached_the_memory_file_draws_an_error_frame(monkeypatch)
 _STALE_START = 1000
 _STALE_FLAGS = None
 _real_write_task = dataset_module._write_task
+_real_generate_range = dataset_module.generate_range
 
 
 def _wait_for(condition):
@@ -625,22 +733,38 @@ def _wait_for(condition):
         time.sleep(0.005)
 
 
+def _names(path, identity):
+    """Whether path names the file whose os.stat_result is identity."""
+    try:
+        return os.path.samestat(os.stat(path), identity)
+    except FileNotFoundError:
+        return False
+
+
 def _failing_then_late_write_task(config, path, identity, start, task):
     """The batch at _STALE_START fails in its first task, while its second
-    one waits, past that failure, until the next batch's parent reads its
-    first task's IQ and that batch's second task has written its own, then
-    writes into whatever file `path` names by then."""
+    one waits, past that failure, until `path` no longer names the batch's
+    file, then runs, recording the errno it raises."""
     first, count = task
     if start == _STALE_START and first == start:
         raise RuntimeError("a task of the batch failed")
     if start != _STALE_START:
         return _real_write_task(config, path, identity, start, task)
     try:
-        _wait_for(lambda: (_STALE_FLAGS / "reading").exists())
-        _wait_for(lambda: os.stat(path).st_size >= 2 * count * 8 * config.frame_len)
+        _wait_for(lambda: not _names(path, identity))
         return _real_write_task(config, path, identity, start, task)
+    except OSError as exc:
+        (_STALE_FLAGS / "late-task-errno").write_text(str(exc.errno))
+        raise
     finally:
         (_STALE_FLAGS / "late-task-done").touch()
+
+
+def _flagging_generate_range(config, first, count):
+    """generate_range, flagging any example the failed batch generates."""
+    if first >= _STALE_START:
+        (_STALE_FLAGS / "late-task-generated").touch()
+    return _real_generate_range(config, first, count)
 
 
 def test_a_failed_batchs_late_task_cannot_write_into_the_next_batch(tmp_path, monkeypatch):
@@ -649,21 +773,19 @@ def test_a_failed_batchs_late_task_cannot_write_into_the_next_batch(tmp_path, mo
     want = build_batch(following, ServerDefaults())
     monkeypatch.setattr(sys.modules[__name__], "_STALE_FLAGS", tmp_path)
     monkeypatch.setattr(dataset_module, "_write_task", _failing_then_late_write_task)
+    monkeypatch.setattr(dataset_module, "generate_range", _flagging_generate_range)
     fds = []
     memfd_create = os.memfd_create
     monkeypatch.setattr(os, "memfd_create", lambda name: fds.append(memfd_create(name)) or fds[-1])
     with fork_pool(2) as pool:
         with pytest.raises(RuntimeError, match="a task of the batch failed"):
             build_batch(failing, ServerDefaults(), pool)
-        pread_exact = dataset_module._pread_exact
-
-        def pread_after_the_late_task(fd, size, offset):
-            if not (tmp_path / "reading").exists():
-                (tmp_path / "reading").touch()
-                _wait_for(lambda: (tmp_path / "late-task-done").exists())
-            return pread_exact(fd, size, offset)
-
-        monkeypatch.setattr(dataset_module, "_pread_exact", pread_after_the_late_task)
+        # the failure is raised once the batch's late task has ended, so
+        # that task cannot reach the next batch's file, nor hold a worker
+        assert (tmp_path / "late-task-done").exists()
         got = build_batch(following, ServerDefaults(), pool)
     assert fds[0] == fds[1]  # the next batch's file took the failed one's number
     assert got == want
+    # the late task found its file gone and was refused before it generated
+    assert int((tmp_path / "late-task-errno").read_text()) in (errno.ENOENT, errno.ESTALE)
+    assert not (tmp_path / "late-task-generated").exists()
