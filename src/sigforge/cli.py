@@ -19,8 +19,8 @@ from sigforge.server import BatchServer, ServerDefaults
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    if args.count % NUM_CLASSES != 0:
-        raise ValueError(f"--count must be divisible by {NUM_CLASSES} "
+    if args.count < 1 or args.count % NUM_CLASSES != 0:
+        raise ValueError(f"--count must be a positive number divisible by {NUM_CLASSES} "
                          f"(exact class balance), got {args.count}")
     config = ds.DatasetConfig(
         variant=args.variant,
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="write a dataset to disk")
     gen.add_argument("--variant", required=True, choices=ds.VARIANTS)
     gen.add_argument("--count", required=True, type=int,
-                     help=f"total examples; must be divisible by {NUM_CLASSES}")
+                     help=f"total examples; a positive number divisible by {NUM_CLASSES}")
     gen.add_argument("--out", required=True)
     gen.add_argument("--seed", required=True, type=int)
     gen.add_argument("--workers", type=int, default=len(os.sched_getaffinity(0)),

@@ -41,8 +41,10 @@ iter_range is the one loop that turns a range of examples into bytes,
 for write_shards and for the batch server alike. It cuts the range into
 _TASK_SIZE-example tasks; a task writes its IQ into a file the caller
 holds open, at the task's own offset, and hands back only its metadata;
-iter_range yields that metadata in task order and never reads the IQ,
-and no task outlives its range. write_shards passes a shard file and
+iter_range submits a range's tasks to the pool with apply_async, yields
+each one's metadata from its AsyncResult in task order and never reads
+the IQ, and waits on the results it has not yielded before it returns,
+so no task outlives its range. write_shards passes a shard file and
 reads each task's IQ back to hash it; the server passes a memory file
 per batch and sends the IQ straight from it. Each shard is written
 under a ``.tmp`` name and renamed once complete, and manifest.json is
@@ -101,13 +103,6 @@ MIN_FRAME_LEN = 64
 # is 4 tasks) and to stream a shard to disk rather than hold it in memory,
 # large enough to amortize a pool task's round trip.
 _TASK_SIZE = 8
-# Free one 4 MiB block at import: glibc's malloc then raises its mmap
-# threshold to 4 MiB and its trim threshold to 8 MiB, so the frame and
-# result buffers a generation task allocates and frees are reused from the
-# heap rather than mapped and faulted in again; forked pool workers inherit
-# the setting. Without it each fresh write_shards worker took twice the page
-# faults and 2-worker clean generation ran ~10% slower (2-core x86 box).
-np.empty(4 << 20, np.uint8)
 
 VARIANTS = ("clean-train", "clean-val", "impaired-train", "impaired-val")
 
@@ -345,43 +340,37 @@ def iter_range(config: DatasetConfig, fd: int, start: int, count: int,
     given, else in this process; it writes its IQ into fd, a file open for
     reading and writing that this process holds, at the sub-range's offset
     from start, through /proc/<pid>/fd (so Linux only), and only its meta
-    bytes come back. map and imap both yield in task order, and a
-    sub-range is yielded once its IQ is in fd, so the bytes do not depend
-    on scheduling; iter_range itself reads no IQ. After the last one it
-    raises OSError (EIO) unless fd holds exactly the range's IQ.
+    bytes come back. On a pool every task is submitted at once with
+    apply_async, and each sub-range is yielded with its result's get() in
+    task order (inline, as it runs), so a sub-range is yielded once its IQ
+    is in fd and the bytes do not depend on scheduling; iter_range itself
+    reads no IQ, and holds no result past its yield. After the last one
+    it raises OSError (EIO) unless fd holds exactly the range's IQ.
 
     The tasks write through a duplicate of fd that iter_range closes when
-    the range ends, and on a pool it then waits for every task of the
-    range. So a range that ends early, because a task raised or the caller
-    stopped, returns once its running tasks have ended, while its queued
-    ones fail at _write_task's open without generating: no task outlives
-    its range, and a pool terminated after it has no worker left sending a
-    result (Pool.terminate can hang on a worker killed mid-send)."""
+    the range ends, and on a pool it then calls wait() on the result of
+    every task it has not yielded. So a range that ends early, because a
+    task raised or the caller stopped, returns once its running tasks
+    have ended, while its queued ones fail at _write_task's open without
+    generating: no task outlives its range, and a pool terminated after
+    it has no worker left sending a result (Pool.terminate can hang on a
+    worker killed mid-send)."""
     own = os.dup(fd)
     write = functools.partial(_write_task, config, f"/proc/{os.getpid()}/fd/{own}",
                               os.fstat(own), start)
     tasks = _ranges(start, count, _TASK_SIZE)
-    results = map(write, tasks) if pool is None else pool.imap(write, tasks)
+    pending = [] if pool is None else [pool.apply_async(write, (task,)) for task in tasks]
     try:
-        yield from zip(tasks, results)
+        for task in tasks:
+            yield task, write(task) if pool is None else pending[0].get()
+            del pending[:1]  # so a shard's meta is not all held until its end
         size, held = count * 8 * config.frame_len, os.fstat(fd).st_size
         if held != size:
             raise OSError(errno.EIO, f"the IQ file holds {held} bytes, the range's IQ is {size}")
     finally:
         os.close(own)
-        if pool is not None:  # inline, nothing runs past the task that raised
-            _wait_all(results)
-
-
-def _wait_all(results: Iterator) -> None:
-    """Exhaust a pool's imap iterator, passing over the tasks that raised."""
-    while True:
-        try:
-            next(results)
-        except StopIteration:
-            return
-        except Exception:
-            pass
+        for result in pending:  # none inline: nothing runs past the task that raised
+            result.wait()
 
 
 def _pread_exact(fd: int, size: int, offset: int) -> bytes:

@@ -52,10 +52,11 @@ import os
 import socket
 import socketserver
 import struct
+from dataclasses import asdict, dataclass
 from typing import BinaryIO, Iterator
 
-from sigforge.dataset import DatasetConfig, _pread_exact, check_int, fork_pool, iter_range
-from sigforge.frame import FRAME_LEN
+from sigforge.dataset import DatasetConfig, fork_pool, iter_range
+from sigforge.frame import FRAME_LEN, check_int
 
 MAGIC = b"SG53"
 PROTOCOL_VERSION = 1
@@ -68,6 +69,7 @@ MAX_BATCH = 4096
 MAX_BATCH_SAMPLES = MAX_BATCH * FRAME_LEN
 _MAX_REQUEST_BYTES = 1 << 20
 _REQUEST_FIELDS = ("batch_size", "variant", "seed", "start_index", "frame_len")
+_DTYPE = "f32le-interleaved"
 # longest silence allowed partway through a request frame, and the
 # longest a reply may wait for the peer to take its next chunk
 _FRAME_TIMEOUT_S = 30.0
@@ -107,10 +109,6 @@ def _send_all(sock: socket.socket, data: bytes) -> None:
         view = view[sock.send(view):]
 
 
-def _error_payload(message: str) -> bytes:
-    return json.dumps({"error": message}).encode("utf-8")
-
-
 def _read_header(sock: socket.socket) -> tuple[int, int]:
     """Read and check one frame header; returns (type, payload length)."""
     magic, version, message_type, length = HEADER.unpack(recv_exact(sock, HEADER.size))
@@ -127,8 +125,8 @@ def read_frame(sock: socket.socket) -> tuple[int, bytes]:
     return message_type, recv_exact(sock, length)
 
 
-def _check_request(variant: object, seed: object, frame_len: object,
-                   batch_size: object) -> DatasetConfig:
+def _check_request(variant: object, seed: object, frame_len: object, batch_size: object,
+                   start_index: object) -> DatasetConfig:
     """The DatasetConfig a batch request describes; raises TypeError or
     ValueError if a field has the wrong type or is out of range."""
     check_int("batch_size", batch_size, 1, MAX_BATCH)
@@ -137,6 +135,7 @@ def _check_request(variant: object, seed: object, frame_len: object,
     if batch_size * frame_len > MAX_BATCH_SAMPLES:
         raise ValueError(f"batch_size * frame_len must be <= {MAX_BATCH_SAMPLES}, "
                          f"got {batch_size} * {frame_len}")
+    check_int("start_index", start_index, 0)
     return config
 
 
@@ -151,22 +150,18 @@ def _batch(request: dict, defaults: "ServerDefaults", pool: multiprocessing.pool
     if unknown:
         raise RequestError(f"unknown request field(s) {', '.join(map(repr, unknown))}; "
                            f"expected any of {', '.join(_REQUEST_FIELDS)}")
-    batch_size = request.get("batch_size", defaults.batch_size)
-    start_index = request.get("start_index", 0)
+    fields = {**asdict(defaults), "start_index": 0, **request}
     try:
-        config = _check_request(request.get("variant", defaults.variant),
-                                request.get("seed", defaults.seed),
-                                request.get("frame_len", defaults.frame_len), batch_size)
-        check_int("start_index", start_index, 0)
+        config = _check_request(**fields)
     except (TypeError, ValueError) as exc:
         raise RequestError(str(exc)) from exc
     with os.fdopen(os.memfd_create("sigforge-batch"), "rb") as iq_file:
         meta_blob = b"".join(meta for _task, meta in iter_range(
-            config, iq_file.fileno(), start_index, batch_size, pool))
+            config, iq_file.fileno(), fields["start_index"], fields["batch_size"], pool))
         header = json.dumps({
-            "count": batch_size,
+            "count": fields["batch_size"],
             "frame_len": config.frame_len,
-            "dtype": "f32le-interleaved",
+            "dtype": _DTYPE,
             "meta_bytes": len(meta_blob),
         }, sort_keys=True, separators=(",", ":")) + "\n"
         yield header.encode("utf-8"), iq_file, meta_blob
@@ -178,10 +173,10 @@ def build_batch(request: dict, defaults: "ServerDefaults",
     workers if one is given, else in this process; the bytes are the same.
     Raises RequestError if a field is unknown, has the wrong type or is out
     of range, and OSError if the batch's memory file cannot be made or
-    its IQ never reached it."""
+    its IQ never reached it. The memory file is read whole, as iter_range
+    has checked that it holds exactly the batch's IQ."""
     with _batch(request, defaults, pool) as (header, iq_file, meta_blob):
-        fd = iq_file.fileno()
-        return header + _pread_exact(fd, os.fstat(fd).st_size, 0) + meta_blob
+        return header + iq_file.read() + meta_blob
 
 
 def _send_batch(sock: socket.socket, header: bytes, iq_file: BinaryIO, meta_blob: bytes) -> None:
@@ -200,15 +195,19 @@ def _send_batch(sock: socket.socket, header: bytes, iq_file: BinaryIO, meta_blob
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_CORK, 0)
 
 
+@dataclass(frozen=True)
 class ServerDefaults:
-    def __init__(self, variant: str = "impaired-train", seed: int = 0,
-                 frame_len: int = FRAME_LEN, batch_size: int = 32):
+    """The values of the request fields a request leaves unset; frozen, so
+    they stay the ones checked at start-up."""
+
+    variant: str = "impaired-train"
+    seed: int = 0
+    frame_len: int = FRAME_LEN
+    batch_size: int = 32
+
+    def __post_init__(self) -> None:
         # fail at start-up, not on every request that leaves a field unset
-        _check_request(variant, seed, frame_len, batch_size)
-        self.variant = variant
-        self.seed = seed
-        self.frame_len = frame_len
-        self.batch_size = batch_size
+        _check_request(**asdict(self), start_index=0)
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -238,20 +237,17 @@ class _Handler(socketserver.BaseRequestHandler):
                         _send_batch(sock, *parts)
                     except OSError:  # the peer is gone or stopped reading
                         return
-                continue
             except (ConnectionError, TimeoutError):
                 return
-            except RequestError as exc:
-                error = pack_frame(MSG_ERROR, _error_payload(str(exc)))
-            except Exception as exc:  # bad framing, or the server's own fault: say which, and close
-                message = str(exc) if isinstance(exc, ProtocolError) else f"internal error: {exc!r}"
-                with contextlib.suppress(OSError):
-                    _send_all(sock, pack_frame(MSG_ERROR, _error_payload(message)))
-                return
-            try:
-                _send_all(sock, error)
-            except OSError:  # the peer is gone or stopped reading
-                return
+            except Exception as exc:  # a bad request keeps the connection; anything else closes it
+                known = isinstance(exc, (RequestError, ProtocolError))
+                message = str(exc) if known else f"internal error: {exc!r}"
+                try:
+                    _send_all(sock, pack_frame(MSG_ERROR, json.dumps({"error": message}).encode()))
+                except OSError:  # the peer is gone or stopped reading
+                    return
+                if not isinstance(exc, RequestError):
+                    return
 
 
 class BatchServer(socketserver.ThreadingTCPServer):
@@ -264,6 +260,7 @@ class BatchServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
 
     def __init__(self, address: tuple[str, int], defaults: ServerDefaults | None = None):
+        check_int("port", address[1], 0, 65535)  # before the pool forks, not at bind
         self.defaults = defaults if defaults is not None else ServerDefaults()
         # Forked before the listening socket exists, so workers do not hold
         # it open, and before serve_forever starts any handler thread, as
@@ -297,7 +294,9 @@ def _recv_into(sock: socket.socket, view: memoryview) -> None:
 def request_batch(host: str, port: int, **fields) -> tuple[dict, bytes, bytes]:
     """Client helper: one request, returns (header, iq bytes, meta bytes).
     Raises RequestError for an error frame and ProtocolError for a reply
-    without a JSON header line or whose body is not the size it gives.
+    without a JSON header line, whose header's count, frame_len or
+    meta_bytes is not an int >= 0 or whose dtype is not f32le-interleaved,
+    or whose body is not the size its header gives.
     The reply is read into one buffer of the length its frame header
     gives, and the IQ and meta are cut out of it."""
     with socket.create_connection((host, port)) as sock:
@@ -314,6 +313,10 @@ def request_batch(host: str, port: int, **fields) -> tuple[dict, bytes, bytes]:
         raise ProtocolError("response has no header line")
     try:
         header = json.loads(payload[:newline].decode("utf-8"))
+        for name in ("count", "frame_len", "meta_bytes"):
+            check_int(name, header[name], 0)
+        if header["dtype"] != _DTYPE:
+            raise ValueError(f"dtype {header['dtype']!r} is not {_DTYPE!r}")
         iq_len = header["count"] * header["frame_len"] * 8
         size = iq_len + header["meta_bytes"]
     except (ValueError, KeyError, TypeError) as exc:  # not UTF-8, not JSON, not a header

@@ -55,11 +55,16 @@ def test_generate_prints_digest(tmp_path, capsys):
     assert manifest["digest_sha256"] == digest
 
 
-def test_generate_unbalanced_count_exits_2(tmp_path, capsys):
-    code = run(["generate", "--variant", "clean-val", "--count", "50",
+@pytest.mark.parametrize("count", ["50", "0", "-53"])
+def test_generate_unbalanced_count_exits_2(tmp_path, capsys, count):
+    code = run(["generate", "--variant", "clean-val", "--count", count,
                 "--seed", "1", "--out", str(tmp_path / "x")])
     assert code == 2
-    assert "divisible" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # names the flag the user typed, not the config field it becomes
+    assert err.startswith("error: --count must be a positive number divisible by 53")
+    assert err.endswith(f"got {count}\n")
+    assert not (tmp_path / "x").exists()
 
 
 def test_generate_rejects_short_frame_len_before_writing(tmp_path, capsys):
@@ -400,6 +405,18 @@ def test_serve_on_a_port_in_use_is_an_error_line():
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
     assert "Address already in use" in result.stderr
     assert "serving on" not in result.stdout
+
+
+@pytest.mark.parametrize("port", ["70000", "-1"])
+def test_serve_on_a_port_out_of_range_is_an_error_line(port):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run(
+        [sys.executable, "-m", "sigforge.cli", "serve", "--port", port],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
+    assert result.stderr == f"error: port must be [0, 65535], got {port}\n"
+    assert result.stdout == ""
 
 
 def test_serve_on_port_0_announces_the_port_it_bound():

@@ -1,6 +1,7 @@
 """Wire protocol framing, request handling, and statelessness."""
 
 import contextlib
+import dataclasses
 import errno
 import json
 import multiprocessing
@@ -287,6 +288,10 @@ def test_server_defaults_validation():
     defaults = ServerDefaults()
     assert (defaults.variant, defaults.seed, defaults.frame_len, defaults.batch_size) == (
         "impaired-train", 0, 4096, 32)
+    # checked once, at start-up, so no later assignment may slip past the check
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        defaults.batch_size = 0
+    assert defaults.batch_size == 32
 
 
 _json_scalars = (st.none() | st.booleans() | st.floats() | st.text(max_size=8)
@@ -409,8 +414,15 @@ _HEAD = b'{"count":1,"dtype":"f32le-interleaved","frame_len":64,"meta_bytes":3}\
     b"[64]\n" + bytes(515),
     b'{"count":1,"frame_len":64}\n' + bytes(515),
     b'{"count":"1","frame_len":64,"meta_bytes":3}\n' + bytes(515),
+    # sizes that add up, from fields that are not what the header means
+    b'{"count":-1,"dtype":"f32le-interleaved","frame_len":64,"meta_bytes":515}\n{}\n',
+    b'{"count":true,"dtype":"f32le-interleaved","frame_len":64,"meta_bytes":3}\n'
+    + bytes(512) + b"{}\n",
+    b'{"count":1,"dtype":"f64le-interleaved","frame_len":64,"meta_bytes":3}\n'
+    + bytes(512) + b"{}\n",
 ], ids=["short-iq", "short-meta", "long", "truncated", "no-header-line", "unterminated-header",
-        "not-json", "not-utf8", "not-an-object", "no-meta-bytes", "string-count"])
+        "not-json", "not-utf8", "not-an-object", "no-meta-bytes", "string-count",
+        "negative-count", "bool-count", "other-dtype"])
 def test_request_batch_refuses_a_reply_of_the_wrong_size_or_header(payload):
     port, thread = _answer_once(payload)
     with pytest.raises(ProtocolError):
