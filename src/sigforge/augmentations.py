@@ -5,7 +5,7 @@ Every transform is a pure function of (frame, parameters, rng draws) and
 preserves frame length. ``AUGMENTATIONS`` registers the 18 transforms a
 pipeline can name, each under its function name. An ``AugmentSpec`` is
 checked when it is built: its params must bind against the transform's
-signature (AgcConfig's fields for agc), and a fill, rounding, level
+signature after frame and rng, and a fill, rounding, level
 count, roll-off side or edge, or inflection count must be one the
 transform accepts, so an unknown or missing name or a refused value fails
 then, not when a probability gate first fires. ``apply_augment``
@@ -289,44 +289,38 @@ def random_convolve(frame: np.ndarray, rng: RngStream,
     return alpha * np.convolve(frame, taps, mode="same") + (1.0 - alpha) * frame
 
 
-@dataclass(frozen=True)
-class AgcConfig:
-    """Log-domain AGC loop constants. No waveform model fixes these;
-    the defaults are chosen for stable convergence and documented in
-    the README."""
+def agc(frame: np.ndarray, *, initial_gain: float = 0.0, level_alpha: float = 0.25,
+        track_alpha: float = 0.004, acquire_alpha: float = 0.04, overflow_alpha: float = 0.1,
+        reference_level: float = 0.0, track_range: float = 0.2,
+        low_level: float = math.log(1e-3), high_level: float = math.log(10.0)) -> np.ndarray:
+    """Sample-sequential automatic gain control in the log domain.
 
-    initial_gain: float = 0.0  # natural-log gain
-    level_alpha: float = 0.25  # smoothing of the log-magnitude estimate
-    track_alpha: float = 0.004  # small corrections near the reference
-    acquire_alpha: float = 0.04  # fast pull-in when far from reference
-    overflow_alpha: float = 0.1  # fastest path when the input is hot
-    reference_level: float = 0.0  # target ln|y|
-    track_range: float = 0.2  # |error| boundary between track and acquire
-    low_level: float = math.log(1e-3)  # below this the gain freezes
-    high_level: float = math.log(10.0)  # above this the overflow rate kicks in
-
-
-def agc(frame: np.ndarray, config: AgcConfig = AgcConfig()) -> np.ndarray:
-    """Sample-sequential automatic gain control in the log domain."""
+    Its loop constants are keyword parameters. No waveform model fixes
+    them; the defaults are chosen for stable convergence and documented in
+    the README. initial_gain is the starting natural-log gain; level_alpha
+    smooths the log-magnitude estimate; reference_level is the target
+    ln|y|; the gain moves by track_alpha of the error while it is within
+    track_range, by acquire_alpha beyond it, and by overflow_alpha while
+    the level is above high_level; below low_level the gain freezes."""
     out = np.empty_like(frame)
-    gain = config.initial_gain
+    gain = initial_gain
     level = 0.0
     have_level = False
     for i, sample in enumerate(frame):
         mag = abs(sample)
-        inst = math.log(mag) if mag > 0.0 else config.low_level - 1.0
+        inst = math.log(mag) if mag > 0.0 else low_level - 1.0
         if not have_level:
             level, have_level = inst, True
         else:
-            level += config.level_alpha * (inst - level)
-        if level >= config.low_level:
-            error = config.reference_level - level - gain
-            if level > config.high_level:
-                alpha = config.overflow_alpha
-            elif abs(error) > config.track_range:
-                alpha = config.acquire_alpha
+            level += level_alpha * (inst - level)
+        if level >= low_level:
+            error = reference_level - level - gain
+            if level > high_level:
+                alpha = overflow_alpha
+            elif abs(error) > track_range:
+                alpha = acquire_alpha
             else:
-                alpha = config.track_alpha
+                alpha = track_alpha
             gain += alpha * error
         out[i] = sample * math.exp(gain)
     return out
@@ -472,10 +466,8 @@ AUGMENTATIONS = {transform.__name__: (transform, _DRAWN.get(transform.__name__, 
 
 def _spec_signature(transform) -> tuple[inspect.Signature, bool]:
     """The signature a spec's params bind against (the transform's after
-    frame and rng, or AgcConfig's fields for agc), and whether the
-    transform takes rng as its second parameter."""
-    if transform is agc:
-        return inspect.signature(AgcConfig), False
+    frame and rng), and whether the transform takes rng as its second
+    parameter."""
     params = list(inspect.signature(transform).parameters.values())
     takes_rng = len(params) > 1 and params[1].name == "rng"
     return inspect.Signature(params[1 + takes_rng:]), takes_rng
@@ -536,8 +528,6 @@ def apply_augment(frame: np.ndarray, rng: RngStream, spec: AugmentSpec) -> np.nd
     params = {name: getattr(rng, method)(*args)
               for name, (method, *args) in drawn.items() if name not in spec.params}
     params.update(spec.params)
-    if transform is agc:
-        return agc(frame, AgcConfig(**params))
     if _SIGNATURES[spec.kind][1]:
         return transform(frame, rng, **params)
     return transform(frame, **params)

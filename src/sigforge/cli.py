@@ -123,11 +123,12 @@ def build_parser() -> argparse.ArgumentParser:
     srv = sub.add_parser("serve", help="run the online batch server")
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", required=True, type=int)
-    srv.add_argument("--variant", default="impaired-train", choices=ds.VARIANTS)
-    srv.add_argument("--seed", type=int, default=0)
-    srv.add_argument("--frame-len", type=int, default=FRAME_LEN,
-                     help=f"samples per frame (>= {ds.MIN_FRAME_LEN}, default {FRAME_LEN})")
-    srv.add_argument("--batch-size", type=int, default=32,
+    srv.add_argument("--variant", default=ServerDefaults.variant, choices=ds.VARIANTS)
+    srv.add_argument("--seed", type=int, default=ServerDefaults.seed)
+    srv.add_argument("--frame-len", type=int, default=ServerDefaults.frame_len,
+                     help=f"samples per frame (>= {ds.MIN_FRAME_LEN}, "
+                          f"default {ServerDefaults.frame_len})")
+    srv.add_argument("--batch-size", type=int, default=ServerDefaults.batch_size,
                      help="default batch size when a request omits it")
     srv.set_defaults(func=_cmd_serve)
     return parser

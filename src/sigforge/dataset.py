@@ -273,11 +273,19 @@ def _layout(num_examples: int) -> list[dict]:
             for k, (first, count) in enumerate(_ranges(0, num_examples, DEFAULT_SHARD_SIZE))]
 
 
+# held back while fork_pool forks its workers
+_POOL_START_SIGNALS = {signal.SIGINT, signal.SIGTERM}
+
+
 def _init_worker() -> None:
     """Pool workers leave Ctrl-C to their parent, which then terminates
-    them, and die on the SIGTERM of Pool.terminate."""
+    them, and die on the SIGTERM of Pool.terminate. A worker starts with
+    SIGINT and SIGTERM blocked, as fork_pool left them; it unblocks them
+    only once both handlers are set, so a SIGTERM held back meanwhile
+    kills it rather than running the handler it inherited."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, _POOL_START_SIGNALS)
 
 
 def fork_pool(workers: int) -> multiprocessing.pool.Pool | None:
@@ -287,19 +295,22 @@ def fork_pool(workers: int) -> multiprocessing.pool.Pool | None:
     process's imports, and a forkserver pool doubled the time of a cold
     53-example generate.
 
-    SIGINT is blocked while the pool forks, so a Ctrl-C cannot stop
-    Pool.__init__ between forking a worker and registering it, which would
-    leave that worker running; one that arrives meanwhile is raised when
-    the mask is restored, and the pool is terminated first."""
+    SIGINT and SIGTERM are blocked while the pool forks, so neither a
+    Ctrl-C nor a SIGTERM that a caller maps to KeyboardInterrupt (as
+    `sigforge serve` does) can stop Pool.__init__ between forking a worker
+    and registering it, which would leave that worker running. One that
+    arrives meanwhile is raised when the mask is restored, and the pool is
+    terminated first. The pool's threads keep the blocked mask, so signals
+    reach the main thread; each worker unblocks both in _init_worker."""
     if workers < 2:
         return None
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, _POOL_START_SIGNALS)
     pool = None
     try:
         pool = multiprocessing.get_context("fork").Pool(workers, _init_worker)
     finally:
         try:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # runs a held-back Ctrl-C
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # runs a held-back signal
         except BaseException:
             if pool is not None:
                 pool.terminate()
@@ -349,18 +360,23 @@ def iter_range(config: DatasetConfig, fd: int, start: int, count: int,
 
     The tasks write through a duplicate of fd that iter_range closes when
     the range ends, and on a pool it then calls wait() on the result of
-    every task it has not yielded. So a range that ends early, because a
-    task raised or the caller stopped, returns once its running tasks
-    have ended, while its queued ones fail at _write_task's open without
-    generating: no task outlives its range, and a pool terminated after
-    it has no worker left sending a result (Pool.terminate can hang on a
-    worker killed mid-send)."""
+    every task it submitted and has not yielded. So a range that ends
+    early, because a task raised, the caller stopped or a submission
+    failed (a pool no longer running raises ValueError), leaves no
+    descriptor open and returns once its running tasks have ended, while
+    its queued ones fail at _write_task's open without generating: no
+    task outlives its range, and a pool terminated after it has no worker
+    left sending a result (Pool.terminate can hang on a worker killed
+    mid-send)."""
     own = os.dup(fd)
     write = functools.partial(_write_task, config, f"/proc/{os.getpid()}/fd/{own}",
                               os.fstat(own), start)
     tasks = _ranges(start, count, _TASK_SIZE)
-    pending = [] if pool is None else [pool.apply_async(write, (task,)) for task in tasks]
+    pending = []
     try:
+        if pool is not None:
+            for task in tasks:  # the finally waits on each, even if a later one fails
+                pending.append(pool.apply_async(write, (task,)))
         for task in tasks:
             yield task, write(task) if pool is None else pending[0].get()
             del pending[:1]  # so a shard's meta is not all held until its end

@@ -2,10 +2,13 @@
 impairment chain.
 
 The chain is split into *plan* (every random draw, logged as steps) and
-*apply* (pure functions of the logged parameters). Application order is
-fixed: phase shift, time shift, frequency shift, Rayleigh channel, IQ
-imbalance, resample — each behind an independent Bernoulli gate — then
-AWGN at the drawn Es/N0 target last, so the target holds at the output.
+*apply* (pure functions of the logged parameters). One table, _STAGES,
+lists its stages in their fixed order: phase shift, time shift,
+frequency shift, Rayleigh channel, IQ imbalance, resample. Each entry
+pairs a stage's draw, which makes its params, with the function that
+applies them by name, and each stage sits behind an independent
+Bernoulli gate, the profile's <kind>_prob. AWGN at the drawn Es/N0
+target comes last, so the target holds at the output.
 An impaired example's metadata stores its record as a description;
 dataset.validate checks a stored example by drawing it again from its
 RNG stream, never by trusting that record. replay_impairments re-applies
@@ -254,16 +257,6 @@ def add_awgn(frame: np.ndarray, esn0_db: float, samples_per_symbol: float,
 
 # --- random pulse shaping (generation-time randomization) ------------------
 
-def random_pulse_shape_linear(rng: RngStream) -> float:
-    """RRC roll-off for impaired linear mods: alpha ~ U(0.15, 0.60)."""
-    return rng.uniform(0.15, 0.60)
-
-
-def random_pulse_shape_gaussian(rng: RngStream) -> float:
-    """Gaussian BT for impaired GFSK/GMSK: bt ~ U(0.1, 0.5)."""
-    return rng.uniform(0.1, 0.5)
-
-
 def fsk_lpf_resample(frame: np.ndarray, rng: RngStream) -> tuple[np.ndarray, float]:
     """Impaired-path bandwidth randomization for pure FSK/MSK (8 sps).
 
@@ -287,19 +280,20 @@ def synthesize_impaired_source(class_index: int, rng: RngStream,
     """Clean synthesis with the impaired variants' randomized pulse
     shaping. Returns (frame, descriptor, shaping_params).
 
-    Draw order per family: linear draws alpha then symbols; GFSK/GMSK
-    draw bt then symbols; FSK/MSK draw symbols then the LPF cutoff;
+    Draw order per family: linear draws the RRC roll-off alpha ~
+    U(0.15, 0.60) then symbols; GFSK/GMSK draw the Gaussian BT ~
+    U(0.1, 0.5) then symbols; FSK/MSK draw symbols then the LPF cutoff;
     OFDM draws structure then payload.
     """
     cls = class_by_index(class_index)
     if cls.is_linear:
-        alpha = random_pulse_shape_linear(rng)
+        alpha = rng.uniform(0.15, 0.60)
         frame, descriptor = gen_linear_mod(class_index, rng, alpha=alpha, frame_len=frame_len)
         return frame, descriptor, {"rrc_alpha": alpha}
     if cls.family == "fsk":
         spec = fsk_spec(cls)
         if spec.gaussian_shaped:
-            bt = random_pulse_shape_gaussian(rng)
+            bt = rng.uniform(0.1, 0.5)
             frame, descriptor = gen_fsk(spec, rng, bt=bt, frame_len=frame_len)
             return frame, descriptor, {"gaussian_bt": bt}
         frame, descriptor = gen_fsk(spec, rng, frame_len=frame_len)
@@ -313,37 +307,43 @@ def synthesize_impaired_source(class_index: int, rng: RngStream,
 
 # --- the chain --------------------------------------------------------------
 
+def _draw_rayleigh(profile: ImpairmentProfile, rng: RngStream) -> dict:
+    lo, hi = profile.rayleigh_taps_range
+    num_taps = int(rng.integers(lo, hi + 1))
+    taps = draw_rayleigh_taps(num_taps, rng)
+    return {"num_taps": num_taps, "taps": [[float(t.real), float(t.imag)] for t in taps]}
+
+
+def _rayleigh(frame: np.ndarray, num_taps: int, taps: list) -> np.ndarray:
+    """fir_channel with a recorded step's taps, [re, im] pairs; num_taps,
+    recorded beside them, is their count."""
+    return fir_channel(frame, np.array([complex(re, im) for re, im in taps]))
+
+
+# The chain, one entry per stage in application order: kind -> (draw, stage).
+# draw(profile, rng) makes the stage's random draws and returns its step's
+# params; stage(frame, **params) applies them. The profile gates each stage
+# with its f"{kind}_prob".
+_STAGES = {
+    "phase_shift": (lambda p, rng: {"phi": rng.uniform(*p.phase_range)}, phase_shift),
+    "time_shift": (lambda p, rng: {
+        "shift": int(rng.integers(-p.time_shift_max, p.time_shift_max + 1))}, time_shift),
+    "freq_shift": (lambda p, rng: {"freq": rng.uniform(*p.freq_range)}, freq_shift),
+    "rayleigh": (_draw_rayleigh, _rayleigh),
+    "iq_imbalance": (lambda p, rng: {"amplitude_db": rng.uniform(*p.iq_amp_range_db),
+                                     "phase_rad": rng.uniform(*p.iq_phase_range),
+                                     "dc_offset": rng.uniform(*p.iq_dc_range)}, iq_imbalance),
+    "resample": (lambda p, rng: {"rate": rng.uniform(*p.resample_range)}, random_resample),
+}
+
+
 def draw_impairment_plan(profile: ImpairmentProfile, rng: RngStream
                          ) -> tuple[list[ImpairmentStep], float]:
-    """All random draws of one chain pass, in fixed order. Returns the
-    gated steps (with parameters) and the Es/N0 target, which is always
-    drawn last."""
-    steps: list[ImpairmentStep] = []
-    if rng.bernoulli(profile.phase_shift_prob):
-        steps.append(ImpairmentStep("phase_shift", {
-            "phi": rng.uniform(*profile.phase_range)}))
-    if rng.bernoulli(profile.time_shift_prob):
-        m = profile.time_shift_max
-        steps.append(ImpairmentStep("time_shift", {
-            "shift": int(rng.integers(-m, m + 1))}))
-    if rng.bernoulli(profile.freq_shift_prob):
-        steps.append(ImpairmentStep("freq_shift", {
-            "freq": rng.uniform(*profile.freq_range)}))
-    if rng.bernoulli(profile.rayleigh_prob):
-        lo, hi = profile.rayleigh_taps_range
-        num_taps = int(rng.integers(lo, hi + 1))
-        taps = draw_rayleigh_taps(num_taps, rng)
-        steps.append(ImpairmentStep("rayleigh", {
-            "num_taps": num_taps,
-            "taps": [[float(t.real), float(t.imag)] for t in taps]}))
-    if rng.bernoulli(profile.iq_imbalance_prob):
-        steps.append(ImpairmentStep("iq_imbalance", {
-            "amplitude_db": rng.uniform(*profile.iq_amp_range_db),
-            "phase_rad": rng.uniform(*profile.iq_phase_range),
-            "dc_offset": rng.uniform(*profile.iq_dc_range)}))
-    if rng.bernoulli(profile.resample_prob):
-        steps.append(ImpairmentStep("resample", {
-            "rate": rng.uniform(*profile.resample_range)}))
+    """All random draws of one chain pass, in fixed order: each stage's
+    gate, then, if it fires, the stage's params. Returns the gated steps
+    (with parameters) and the Es/N0 target, which is always drawn last."""
+    steps = [ImpairmentStep(kind, draw(profile, rng)) for kind, (draw, _) in _STAGES.items()
+             if rng.bernoulli(getattr(profile, f"{kind}_prob"))]
     lo, hi = profile.esn0_range_db
     esn0 = lo if lo == hi else rng.uniform(lo, hi)
     return steps, esn0
@@ -351,22 +351,10 @@ def draw_impairment_plan(profile: ImpairmentProfile, rng: RngStream
 
 def _apply_step(frame: np.ndarray, step: ImpairmentStep) -> np.ndarray:
     """One recorded step other than AWGN, which replay_with_pre_noise
-    applies itself."""
-    p = step.params
-    if step.kind == "phase_shift":
-        return phase_shift(frame, p["phi"])
-    if step.kind == "time_shift":
-        return time_shift(frame, p["shift"])
-    if step.kind == "freq_shift":
-        return freq_shift(frame, p["freq"])
-    if step.kind == "rayleigh":
-        taps = np.array([complex(re, im) for re, im in p["taps"]])
-        return fir_channel(frame, taps)
-    if step.kind == "iq_imbalance":
-        return iq_imbalance(frame, p["amplitude_db"], p["phase_rad"], p["dc_offset"])
-    if step.kind == "resample":
-        return random_resample(frame, p["rate"])
-    raise ValueError(f"unknown impairment step kind {step.kind!r}")
+    applies itself: its stage called with the step's params by name."""
+    if step.kind not in _STAGES:
+        raise ValueError(f"unknown impairment step kind {step.kind!r}")
+    return _STAGES[step.kind][1](frame, **step.params)
 
 
 def replay_with_pre_noise(clean: np.ndarray, record: ImpairmentRecord

@@ -14,7 +14,6 @@ from sigforge.augmentations import (
     CUTOUT_FILLS,
     DEFAULT_RAND_AUGMENT_OPS,
     RAND_AUGMENT_KINDS,
-    AgcConfig,
     AugmentSpec,
     LabelInfo,
     Pipeline,
@@ -476,9 +475,8 @@ def test_agc_tracks_a_level_step():
 
 
 def test_agc_custom_reference():
-    cfg = AgcConfig(reference_level=math.log(2.0))
     frame = 0.5 * np.ones(4096, dtype=np.complex128)
-    out = agc(frame, cfg)
+    out = agc(frame, reference_level=math.log(2.0))
     np.testing.assert_allclose(np.abs(out[-256:]), 2.0, atol=0.02)
 
 
@@ -734,7 +732,7 @@ def test_spec_takes_frame_and_rng_from_the_caller_only():
         with pytest.raises(ValueError, match=name):
             AugmentSpec(kind="cutout", params={name: None})
     with pytest.raises(ValueError, match="'agc'.*'config'"):
-        AugmentSpec(kind="agc", params={"config": AgcConfig()})
+        AugmentSpec(kind="agc", params={"config": {"reference_level": 0.0}})
 
 
 def test_spec_keeps_its_own_copy_of_params():

@@ -1,5 +1,6 @@
 """End-user command flows, exercised through main(argv)."""
 
+import dataclasses
 import errno
 import hashlib
 import json
@@ -17,9 +18,10 @@ import numpy as np
 import pytest
 
 from conftest import child_pids
+from sigforge import cli as cli_module
 from sigforge.cli import build_parser, main
 from sigforge.dataset import FORMAT_VERSION, manifest_digest
-from sigforge.server import request_batch
+from sigforge.server import ServerDefaults, request_batch
 
 
 def run(argv):
@@ -384,6 +386,23 @@ def test_parser_covers_all_subcommands():
         parser.parse_args([])
 
 
+def test_serve_flags_default_to_server_defaults(monkeypatch):
+    args = build_parser().parse_args(["serve", "--port", "0"])
+    assert ServerDefaults(variant=args.variant, seed=args.seed, frame_len=args.frame_len,
+                          batch_size=args.batch_size) == ServerDefaults()
+
+    @dataclasses.dataclass(frozen=True)
+    class OtherDefaults:  # the flags follow ServerDefaults, not a copy of its values
+        variant: str = "clean-val"
+        seed: int = 5
+        frame_len: int = 128
+        batch_size: int = 7
+
+    monkeypatch.setattr(cli_module, "ServerDefaults", OtherDefaults)
+    args = build_parser().parse_args(["serve", "--port", "0"])
+    assert (args.variant, args.seed, args.frame_len, args.batch_size) == ("clean-val", 5, 128, 7)
+
+
 def test_serve_rejects_bad_defaults_before_listening(capsys):
     assert run(["serve", "--port", "0", "--frame-len", "32"]) == 2
     captured = capsys.readouterr()
@@ -422,19 +441,20 @@ def test_serve_on_a_port_out_of_range_is_an_error_line(port):
 def test_serve_on_port_0_announces_the_port_it_bound():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.Popen([sys.executable, "-m", "sigforge.cli", "serve", "--port", "0"],
-                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    try:
-        assert select.select([proc.stdout], [], [], 60)[0], "no announcement within 60 s"
-        line = proc.stdout.readline()
-        assert line.startswith("serving on 127.0.0.1:"), line
-        header, iq, _meta = request_batch("127.0.0.1", int(line.rsplit(":", 1)[1]),
-                                          batch_size=1, frame_len=64)
-        assert header["count"] == 1 and len(iq) == 8 * 64
-        proc.send_signal(signal.SIGTERM)
-        proc.wait(timeout=20)
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
+    with subprocess.Popen([sys.executable, "-m", "sigforge.cli", "serve", "--port", "0"],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True) as proc:
+        try:
+            assert select.select([proc.stdout], [], [], 60)[0], "no announcement within 60 s"
+            line = proc.stdout.readline()
+            assert line.startswith("serving on 127.0.0.1:"), line
+            header, iq, _meta = request_batch("127.0.0.1", int(line.rsplit(":", 1)[1]),
+                                              batch_size=1, frame_len=64)
+            assert header["count"] == 1 and len(iq) == 8 * 64
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=20)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
     assert proc.returncode == 0

@@ -17,6 +17,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -503,7 +504,10 @@ def test_write_shards_forks_its_pool_whatever_the_default_start_method(tmp_path)
     assert result.stderr.endswith("RuntimeError: patched generate_example ran\n"), result.stderr
 
 
-def test_a_ctrl_c_while_the_pool_forks_leaves_no_worker(monkeypatch):
+def _signal_while_the_pool_forks(monkeypatch, signum):
+    """fork_pool(2) with signum raised between its first fork and its
+    second: it raises KeyboardInterrupt once the pool is built, and leaves
+    no worker alive."""
     pools, started = [], []
     real_init, real_start = multiprocessing.pool.Pool.__init__, multiprocessing.context.ForkProcess.start
 
@@ -511,14 +515,14 @@ def test_a_ctrl_c_while_the_pool_forks_leaves_no_worker(monkeypatch):
         pools.append(pool)  # as a caller holding the interrupt's traceback would
         real_init(pool, *args, **kwargs)
 
-    def start_then_interrupt(process):
+    def start_then_signal(process):
         real_start(process)
         started.append(process)
-        if len(started) == 1:  # a Ctrl-C between the first fork and the second
-            signal.raise_signal(signal.SIGINT)
+        if len(started) == 1:  # a signal between the first fork and the second
+            signal.raise_signal(signum)
 
     monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", recording_init)
-    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start_then_interrupt)
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start_then_signal)
     try:
         with pytest.raises(KeyboardInterrupt):
             dataset_module.fork_pool(2)
@@ -532,10 +536,42 @@ def test_a_ctrl_c_while_the_pool_forks_leaves_no_worker(monkeypatch):
             process.terminate()
             process.join(timeout=30)
     monkeypatch.undo()
+
+
+def test_a_ctrl_c_while_the_pool_forks_leaves_no_worker(monkeypatch):
+    _signal_while_the_pool_forks(monkeypatch, signal.SIGINT)
     pool = dataset_module.fork_pool(2)
     pool.terminate()
     pool.join()
     assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, set())
+
+
+def _sigterm_blocked(pid):
+    """Whether SIGTERM is in the blocked mask (SigBlk) of process pid."""
+    with open(f"/proc/{pid}/status") as status:
+        mask = next(int(line.split()[1], 16) for line in status if line.startswith("SigBlk:"))
+    return bool(mask >> (signal.SIGTERM - 1) & 1)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+def test_a_sigterm_while_the_pool_forks_leaves_no_worker(monkeypatch):
+    handler = signal.signal(signal.SIGTERM, signal.default_int_handler)  # as `sigforge serve` does
+    try:
+        _signal_while_the_pool_forks(monkeypatch, signal.SIGTERM)
+    finally:
+        signal.signal(signal.SIGTERM, handler)
+    pool = dataset_module.fork_pool(2)
+    try:
+        # each worker unblocks SIGTERM in its initializer, so terminate() can kill it
+        deadline = time.monotonic() + 30
+        for worker in pool._pool:
+            while _sigterm_blocked(worker.pid) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not _sigterm_blocked(worker.pid)
+    finally:
+        pool.terminate()
+        pool.join()
+    assert not signal.pthread_sigmask(signal.SIG_BLOCK, set()) & {signal.SIGINT, signal.SIGTERM}
 
 
 def test_force_removes_the_tmp_files_of_an_interrupted_run(tmp_path):

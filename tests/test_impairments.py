@@ -24,8 +24,6 @@ from sigforge.impairments import (
     iq_imbalance,
     phase_shift,
     pre_noise_frame,
-    random_pulse_shape_gaussian,
-    random_pulse_shape_linear,
     random_resample,
     replay_impairments,
     replay_with_pre_noise,
@@ -266,10 +264,11 @@ def test_fsk_lpf_resample_band_and_length():
 
 
 def test_pulse_shape_draw_ranges():
-    rng = derive_stream(9, 0)
-    for _ in range(100):
-        assert 0.15 <= random_pulse_shape_linear(rng) <= 0.60
-        assert 0.1 <= random_pulse_shape_gaussian(rng) <= 0.5
+    linear, gaussian = class_by_name("qpsk").index, class_by_name("2gmsk").index
+    for seed in range(100):
+        rng = derive_stream(9, seed)
+        assert 0.15 <= synthesize_impaired_source(linear, rng, 64)[2]["rrc_alpha"] <= 0.60
+        assert 0.1 <= synthesize_impaired_source(gaussian, rng, 64)[2]["gaussian_bt"] <= 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -486,6 +486,19 @@ def test_server_close_leaves_no_pool_worker(monkeypatch):
     assert not workers & {p.pid for p in multiprocessing.active_children()}
 
 
+@pytest.mark.skipif(not Path("/proc/self/fd").exists(), reason="needs /proc")
+def test_a_batch_on_a_terminated_pool_leaves_no_descriptor():
+    # as a handler thread still serving after server_close() terminated the pool
+    pool = fork_pool(2)
+    pool.terminate()
+    pool.join()
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        with pytest.raises(ValueError, match="Pool not running"):
+            build_batch({"batch_size": 16, "frame_len": MIN_FRAME_LEN}, ServerDefaults(), pool)
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 def test_single_cpu_server_has_no_pool(monkeypatch):
     monkeypatch.setattr(server_module.os, "sched_getaffinity", lambda pid: {0})
     srv = BatchServer(("127.0.0.1", 0))
@@ -601,26 +614,27 @@ def _free_port():
 @contextlib.contextmanager
 def _serve(*args):
     """A `sigforge serve` child on a free port, once it answers a request;
-    yields (its Popen, its port), and kills it on exit if it still runs."""
+    yields (its Popen, its port), and kills it on exit if it still runs and
+    closes its pipes."""
     port = _free_port()
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.Popen([sys.executable, "-m", "sigforge.cli", "serve", "--port", str(port),
-                             *args], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    try:
-        deadline = time.monotonic() + 60
-        while True:
-            try:
-                request_batch("127.0.0.1", port, batch_size=1, frame_len=64)
-                break
-            except OSError:  # not listening yet
-                assert proc.poll() is None and time.monotonic() < deadline
-                time.sleep(0.05)
-        yield proc, port
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
+    with subprocess.Popen([sys.executable, "-m", "sigforge.cli", "serve", "--port", str(port),
+                           *args], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            deadline = time.monotonic() + 60
+            while True:
+                try:
+                    request_batch("127.0.0.1", port, batch_size=1, frame_len=64)
+                    break
+                except OSError:  # not listening yet
+                    assert proc.poll() is None and time.monotonic() < deadline
+                    time.sleep(0.05)
+            yield proc, port
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
 
 
 def _peak_rss(pid="self"):
