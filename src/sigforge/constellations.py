@@ -10,6 +10,7 @@ variants remove square corner blocks from a larger grid (6x6-4,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ _CROSS_QAM_SIDE = {32: 6, 128: 12, 512: 24}
 @dataclass(frozen=True)
 class ConstellationTable:
     name: str
-    points: np.ndarray  # complex128, unit mean power
+    points: np.ndarray  # complex128, unit mean power, read-only
     bits_per_symbol: int
 
 
@@ -59,7 +60,10 @@ def _raw_points(cls: SignalClass) -> np.ndarray:
     raise ValueError(f"{cls.name} is not a constellation class")
 
 
+@functools.cache
 def build_constellation(class_index: int) -> ConstellationTable:
+    """The class's table, built once per class: every call returns the
+    same table, its points read-only."""
     cls = class_by_index(class_index)
     if not cls.is_linear:
         raise ValueError(f"{cls.name} is not a constellation class")
@@ -67,4 +71,5 @@ def build_constellation(class_index: int) -> ConstellationTable:
     if len(pts) != cls.order:
         raise AssertionError(f"{cls.name}: built {len(pts)} points, expected {cls.order}")
     pts = pts / np.sqrt(np.mean(np.abs(pts) ** 2))
+    pts.flags.writeable = False
     return ConstellationTable(name=cls.name, points=pts, bits_per_symbol=cls.bits_per_symbol)

@@ -51,6 +51,14 @@ under a ``.tmp`` name and renamed once complete, and manifest.json is
 renamed into place last, so an interrupted run leaves no manifest and
 no final-named file that is incomplete.
 
+write_shards keeps its pool for the next call of the process: forking a
+pool and tearing it down cost a 424-example clean job a fifth of its
+time. A call takes the kept pool if it has the workers asked for, else
+terminates it and forks one; a call that raises terminates its pool, and
+an atexit hook terminates and joins the pool left at exit. A forked child
+does not inherit it. The batch server forks its own pool, which lives as
+long as the server.
+
 Readers take a shard's IQ in the same _TASK_SIZE-frame blocks, through
 _shards, the one loop over shard files. verify_digests, validate and an
 unverified read hold one block at a time, plus the shard's meta file
@@ -62,6 +70,7 @@ covers the whole shard, and converts it to frames a block at a time.
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import dataclasses
 import errno
@@ -72,6 +81,7 @@ import json
 import multiprocessing
 import os
 import signal
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, ClassVar, Iterable, Iterator
@@ -301,7 +311,12 @@ def fork_pool(workers: int) -> multiprocessing.pool.Pool | None:
     and registering it, which would leave that worker running. One that
     arrives meanwhile is raised when the mask is restored, and the pool is
     terminated first. The pool's threads keep the blocked mask, so signals
-    reach the main thread; each worker unblocks both in _init_worker."""
+    reach the main thread; each worker unblocks both in _init_worker.
+
+    The pool lives until its caller terminates it: the batch server's for
+    as long as the server, write_shards' until a call needs another size
+    or raises, or the process exits (see _write_pool). Its workers hold
+    what this process had open when they forked."""
     if workers < 2:
         return None
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, _POOL_START_SIGNALS)
@@ -316,6 +331,73 @@ def fork_pool(workers: int) -> multiprocessing.pool.Pool | None:
                 pool.terminate()
             raise
     return pool
+
+
+# The pool write_shards keeps between calls, as (workers, pool), and the
+# lock a call holds while it takes the pool out of the slot or puts it back
+_kept_pool: tuple[int, multiprocessing.pool.Pool] | None = None
+_kept_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    """In a forked child: the kept pool's workers are not its children,
+    and a thread of the parent may have held the lock as it forked. They
+    leave the child's record of its children too, or multiprocessing's
+    exit handler would terminate them when a child of os.fork exits,
+    maybe one holding its pool's task queue lock, hanging the rest."""
+    global _kept_pool, _kept_pool_lock
+    if _kept_pool is not None:
+        multiprocessing.process._children.difference_update(_kept_pool[1]._pool)
+    _kept_pool, _kept_pool_lock = None, threading.Lock()
+
+
+def _swap_pool(kept: tuple[int, multiprocessing.pool.Pool] | None
+               ) -> tuple[int, multiprocessing.pool.Pool] | None:
+    """Put kept (None to empty it) in the slot; return what it held."""
+    global _kept_pool
+    with _kept_pool_lock:
+        held, _kept_pool = _kept_pool, kept
+    return held
+
+
+def _drop_pool() -> None:
+    """Terminate and join the kept pool, if there is one."""
+    held = _swap_pool(None)
+    if held is not None:
+        held[1].terminate()
+        held[1].join()
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+atexit.register(_drop_pool)
+
+
+@contextlib.contextmanager
+def _write_pool(workers: int) -> Iterator[multiprocessing.pool.Pool | None]:
+    """write_shards' pool of `workers` processes (None for one worker):
+    the kept pool if it has that many workers, else a fresh fork_pool, the
+    kept one terminated. A body that returns puts its pool back in the
+    slot, where iter_range has left it idle, and terminates any pool a
+    concurrent call put there meanwhile; one that raises, KeyboardInterrupt
+    included, terminates its pool."""
+    if workers < 2:
+        yield None
+        return
+    held = _swap_pool(None)
+    if held is not None and held[0] == workers:
+        pool = held[1]
+    else:
+        if held is not None:
+            held[1].terminate()
+        pool = fork_pool(workers)
+    try:
+        yield pool
+    except BaseException:
+        pool.terminate()
+        raise
+    displaced = _swap_pool((workers, pool))
+    if displaced is not None:
+        displaced[1].terminate()
 
 
 def _write_task(config: DatasetConfig, path: str, identity: os.stat_result, start: int,
@@ -421,7 +503,9 @@ def write_shards(config: DatasetConfig, out_dir: str | Path, workers: int = 1,
     The shards are those of the one layout (see the module docstring):
     DEFAULT_SHARD_SIZE examples each, the last one shorter; no caller
     chooses another. Each shard's range runs through iter_range on a pool
-    of `workers` forked processes (inline at 1): its tasks write IQ
+    of `workers` forked processes (inline at 1), kept for the next call
+    of this process, dropped if this one raises and joined at exit (see
+    the module docstring): its tasks write IQ
     straight into the shard file, and the parent takes each task's meta
     in task order, reads the task's IQ back from the file, appends the
     meta and hashes both, so it holds one task's bytes at a time.
@@ -444,7 +528,7 @@ def write_shards(config: DatasetConfig, out_dir: str | Path, workers: int = 1,
     overall = hashlib.sha256()
     shard_entries = []
     frame_bytes = 8 * config.frame_len
-    with fork_pool(workers) or contextlib.nullcontext() as pool:
+    with _write_pool(workers) as pool:
         for shard in _layout(config.total_examples):
             name, start = shard["name"], shard["start_index"]
             iq_path, meta_path = out_path / f"{name}.iq", out_path / f"{name}.meta.jsonl"

@@ -27,11 +27,13 @@ def check_int(name: str, value: object, low: int | None = None,
 
 
 def mean_power(frame: np.ndarray) -> float:
-    """Mean of |x[n]|^2 over the frame."""
+    """Mean of |x[n]|^2 over the frame: np.mean's own pairwise sum and
+    division, without its dispatch."""
     frame = np.asarray(frame)
     if frame.size == 0:
         raise ValueError("empty frame has no mean power")
-    return float(np.mean(frame.real**2 + frame.imag**2))
+    power = frame.real**2 + frame.imag**2
+    return float(np.add.reduce(power, axis=None) / power.size)
 
 
 def normalize_unit_power(frame: np.ndarray) -> np.ndarray:

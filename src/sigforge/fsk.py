@@ -10,6 +10,7 @@ filter before phase integration.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,11 +54,21 @@ def tone_frequencies(spec: FskSpec) -> np.ndarray:
     return spec.mod_index * (2.0 * k - spec.order + 1) / (2.0 * spec.samples_per_symbol)
 
 
+@functools.lru_cache(maxsize=1)
+def _gaussian_taps(bt: float, samples_per_symbol: int) -> np.ndarray:
+    """fsk_waveform's Gaussian taps, read-only. The clean recipe's one BT
+    is designed once; an impaired example draws its own, and a cache of one
+    keeps those draws from piling up."""
+    taps = gaussian_taps(bt, samples_per_symbol, GAUSSIAN_SPAN_SYMBOLS)
+    taps.flags.writeable = False
+    return taps
+
+
 def fsk_waveform(spec: FskSpec, symbol_indices: np.ndarray, bt: float = 0.35) -> np.ndarray:
     """Phase-accumulated waveform for an explicit symbol sequence."""
     freq = np.repeat(tone_frequencies(spec)[np.asarray(symbol_indices)], spec.samples_per_symbol)
     if spec.gaussian_shaped:
-        taps = gaussian_taps(bt, spec.samples_per_symbol, GAUSSIAN_SPAN_SYMBOLS)
+        taps = _gaussian_taps(bt, spec.samples_per_symbol)
         freq = convolve_same(freq, taps)
     theta = 2.0 * np.pi * np.cumsum(freq)
     return np.exp(1j * theta)

@@ -311,13 +311,16 @@ def _draw_rayleigh(profile: ImpairmentProfile, rng: RngStream) -> dict:
     lo, hi = profile.rayleigh_taps_range
     num_taps = int(rng.integers(lo, hi + 1))
     taps = draw_rayleigh_taps(num_taps, rng)
-    return {"num_taps": num_taps, "taps": [[float(t.real), float(t.imag)] for t in taps]}
+    return {"num_taps": num_taps, "taps": taps.view(np.float64).reshape(-1, 2).tolist()}
 
 
 def _rayleigh(frame: np.ndarray, num_taps: int, taps: list) -> np.ndarray:
     """fir_channel with a recorded step's taps, [re, im] pairs; num_taps,
     recorded beside them, is their count."""
-    return fir_channel(frame, np.array([complex(re, im) for re, im in taps]))
+    pairs = np.array(taps, dtype=np.float64)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"rayleigh taps must be [re, im] pairs, got shape {pairs.shape}")
+    return fir_channel(frame, pairs.view(np.complex128)[:, 0])
 
 
 # The chain, one entry per stage in application order: kind -> (draw, stage).

@@ -7,6 +7,8 @@ contains only steady-state waveform.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from sigforge.constellations import build_constellation
@@ -36,6 +38,16 @@ def shape_symbols(symbols: np.ndarray, taps: np.ndarray, frame_len: int,
     return shaped[start:start + frame_len]
 
 
+@functools.lru_cache(maxsize=1)
+def _shaping_taps(alpha: float) -> np.ndarray:
+    """gen_linear_mod's RRC taps, read-only. The clean recipe's one alpha
+    is designed once; an impaired example draws its own, and a cache of one
+    keeps those draws from piling up."""
+    taps = rrc_taps(alpha, SAMPLES_PER_SYMBOL, RRC_SPAN_SYMBOLS)
+    taps.flags.writeable = False
+    return taps
+
+
 def gen_linear_mod(class_index: int, rng: RngStream, alpha: float = 0.35,
                    frame_len: int = FRAME_LEN) -> tuple[np.ndarray, SignalDescriptor]:
     """Generate one unit-power linearly modulated frame.
@@ -48,7 +60,7 @@ def gen_linear_mod(class_index: int, rng: RngStream, alpha: float = 0.35,
     table = build_constellation(class_index)
     nsym = num_symbols(frame_len)
     indices = rng.integers(0, cls.order, nsym)
-    taps = rrc_taps(alpha, SAMPLES_PER_SYMBOL, RRC_SPAN_SYMBOLS)
+    taps = _shaping_taps(alpha)
     frame = normalize_unit_power(
         shape_symbols(table.points[indices], taps, frame_len, SAMPLES_PER_SYMBOL)
     )

@@ -27,6 +27,9 @@ EDGE_TREATMENTS = ("lowpass", "window", "none")
 
 LOWPASS_CUTOFF = 0.27  # cycles/sample, just above the half-band edge
 LOWPASS_NUM_TAPS = 63
+# the low-pass of the "lowpass" edge treatment, designed once
+_LOWPASS_TAPS = lowpass_taps(LOWPASS_CUTOFF, LOWPASS_NUM_TAPS)
+_LOWPASS_TAPS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,7 @@ def gen_ofdm(spec: OfdmSpec, rng: RngStream,
     if spec.edge_treatment == "window":
         stream = _window_taper(stream, spec)
     elif spec.edge_treatment == "lowpass":
-        stream = convolve_same(stream, lowpass_taps(LOWPASS_CUTOFF, LOWPASS_NUM_TAPS))
+        stream = convolve_same(stream, _LOWPASS_TAPS)
     frame = normalize_unit_power(stream[:frame_len])
     cls = class_by_name(f"ofdm-{spec.num_subcarriers}")
     descriptor = SignalDescriptor(

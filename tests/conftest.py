@@ -1,12 +1,15 @@
-"""Shared fixtures and the acceptance-criteria summary hook."""
+"""Shared fixtures, the acceptance-criteria summary hook and the check
+that the session leaves no process behind."""
 
 from __future__ import annotations
 
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sigforge import dataset
 from sigforge.rng import derive_stream
 
 # Populated by tests/test_acceptance.py; printed after the run so the
@@ -32,6 +35,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if detail:
             line += f"  [{detail}]"
         terminalreporter.write_line(line)
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """The session ends with write_shards' kept pool joined, so none is
+    left for interpreter teardown, and with no worker any test left alive."""
+    dataset._drop_pool()
+    leftover = multiprocessing.active_children()
+    assert not leftover, f"processes left alive at the end of the session: {leftover}"
+
+
+@pytest.fixture
+def fresh_pool():
+    """For a test that patches code pool workers run (generate_example,
+    generate_range, _write_task, os.pwrite): write_shards' kept pool is
+    dropped before the test, so the workers that run the patch are forked
+    after it, and again after the test, so no later test runs on them."""
+    dataset._drop_pool()
+    yield
+    dataset._drop_pool()
 
 
 @pytest.fixture

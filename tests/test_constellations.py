@@ -16,6 +16,14 @@ def test_unit_mean_power_and_count(cls):
     assert len(set(table.points.tolist())) == cls.order
 
 
+def test_each_table_is_built_once_with_read_only_points():
+    for cls in linear_classes():
+        table = build_constellation(cls.index)
+        assert build_constellation(cls.index) is table
+        with pytest.raises(ValueError, match="read-only"):
+            table.points[0] = 0.0
+
+
 def test_ook_is_on_off():
     table = build_constellation(class_by_name("ook").index)
     pts = np.sort_complex(table.points)

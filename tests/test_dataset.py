@@ -2,6 +2,7 @@
 
 import builtins
 import collections
+import concurrent.futures
 import contextlib
 import dataclasses
 import errno
@@ -17,6 +18,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -25,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import child_pids
 from sigforge import dataset as dataset_module
 from sigforge.cli import main
 from sigforge.dataset import (
@@ -59,6 +62,7 @@ from sigforge.impairments import DEFAULT_PROFILE, NO_IMPAIRMENT_PROFILE
 from sigforge.registry import CLASS_LIST, NUM_CLASSES
 from sigforge.rng import derive_stream
 from sigforge.server import ServerDefaults, build_batch
+from test_golden import MANIFEST_SHA256
 
 
 def small_config(variant="clean-train", epc=2, seed=3, frame_len=256):
@@ -69,8 +73,8 @@ def small_config(variant="clean-train", epc=2, seed=3, frame_len=256):
 @pytest.fixture
 def shard_size(monkeypatch):
     """shard_size(n) gives the datasets this test writes and reads shards
-    of n examples instead of DEFAULT_SHARD_SIZE; write_shards' forked pool
-    workers inherit the patch."""
+    of n examples instead of DEFAULT_SHARD_SIZE; only this process reads
+    it, so pool workers need not see the patch."""
     return functools.partial(monkeypatch.setattr, dataset_module, "DEFAULT_SHARD_SIZE")
 
 
@@ -458,7 +462,7 @@ def test_stored_replay_matches_float32_bytes(tmp_path):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_an_interrupted_write_leaves_no_manifest_and_no_incomplete_shard(
-        tmp_path, monkeypatch, shard_size, workers):
+        tmp_path, monkeypatch, shard_size, workers, fresh_pool):
     config = small_config(epc=1, frame_len=MIN_FRAME_LEN)
     shard_size(20)
     whole = write_shards(config, tmp_path / "whole")
@@ -587,7 +591,7 @@ def test_force_removes_the_tmp_files_of_an_interrupted_run(tmp_path):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_failed_iq_write_fails_the_run(tmp_path, monkeypatch, workers):
+def test_a_failed_iq_write_fails_the_run(tmp_path, monkeypatch, workers, fresh_pool):
     def full_disk(fd, data, offset):
         raise OSError(errno.ENOSPC, "No space left on device")
 
@@ -600,7 +604,8 @@ def test_a_failed_iq_write_fails_the_run(tmp_path, monkeypatch, workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_iq_that_never_reached_the_file_is_not_hashed(tmp_path, monkeypatch, workers):
+def test_iq_that_never_reached_the_file_is_not_hashed(tmp_path, monkeypatch, workers,
+                                                     fresh_pool):
     # a write that claims success without writing leaves the shard short
     monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: len(data))
     target = tmp_path / "ds"
@@ -615,7 +620,7 @@ def test_iq_that_never_reached_the_file_is_not_hashed(tmp_path, monkeypatch, wor
     assert raised.value.errno == errno.EIO
 
 
-def test_short_iq_writes_are_completed(tmp_path, monkeypatch, shard_size):
+def test_short_iq_writes_are_completed(tmp_path, monkeypatch, shard_size, fresh_pool):
     config = small_config("impaired-val", epc=1)
     shard_size(20)
     want = write_shards(config, tmp_path / "want")
@@ -623,6 +628,178 @@ def test_short_iq_writes_are_completed(tmp_path, monkeypatch, shard_size):
     monkeypatch.setattr(os, "pwrite", lambda fd, data, offset: pwrite(fd, data[:1000], offset))
     for workers in (1, 2):
         assert write_shards(config, tmp_path / f"w{workers}", workers=workers) == want
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The ForkProcess objects this process starts during the test."""
+    processes = []
+    real_start = multiprocessing.context.ForkProcess.start
+
+    def recording_start(process):
+        real_start(process)
+        processes.append(process)
+
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", recording_start)
+    return processes
+
+
+def test_write_shards_keeps_its_pool_for_the_next_call(tmp_path, fresh_pool, started):
+    config = small_config(epc=1, frame_len=MIN_FRAME_LEN)
+    want = write_shards(config, tmp_path / "inline")
+    assert write_shards(config, tmp_path / "a", workers=2) == want
+    assert len(started) == 2
+    assert write_shards(config, tmp_path / "b", workers=2) == want
+    assert len(started) == 2  # the second call forked nothing
+    assert write_shards(config, tmp_path / "c", workers=3) == want
+    assert [p.is_alive() for p in started] == [False, False, True, True, True]
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_a_call_that_raises_drops_the_kept_pool(tmp_path, monkeypatch, fresh_pool, started,
+                                                error):
+    # a task on the kept pool's workers raises RuntimeError, or this
+    # process is interrupted as it reads a task's IQ back; the workers,
+    # forked before the flag is set, read it from the file system
+    config = small_config(epc=1, frame_len=MIN_FRAME_LEN)
+    flag = tmp_path / "fail"
+    generate, pread_exact = dataset_module.generate_example, dataset_module._pread_exact
+
+    def generate_unless_flagged(index, *args):
+        if flag.exists() and error is RuntimeError:
+            raise RuntimeError("generation failed")
+        return generate(index, *args)
+
+    def pread_unless_flagged(*args):
+        if flag.exists() and error is KeyboardInterrupt:
+            raise KeyboardInterrupt
+        return pread_exact(*args)
+
+    monkeypatch.setattr(dataset_module, "generate_example", generate_unless_flagged)
+    monkeypatch.setattr(dataset_module, "_pread_exact", pread_unless_flagged)
+    want = write_shards(config, tmp_path / "want", workers=2)
+    flag.touch()
+    with pytest.raises(error):
+        write_shards(config, tmp_path / "failed", workers=2)
+    assert len(started) == 2  # it ran on the kept pool
+    assert not [p.pid for p in started if p.is_alive()]
+    flag.unlink()
+    assert write_shards(config, tmp_path / "again", workers=2) == want
+    assert len(started) == 4
+
+
+_KEEPING_WRITER = (
+    "import json, multiprocessing, sys\n"
+    "from sigforge import dataset\n"
+    "config = dataset.DatasetConfig('clean-val', 1, 0, 64)\n"
+    "for run in ('a', 'b'):\n"
+    "    dataset.write_shards(config, sys.argv[1] + run, workers=2)\n"
+    "    print(json.dumps(sorted(p.pid for p in multiprocessing.active_children())), flush=True)\n")
+
+
+def _src_env():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
+def test_a_process_that_keeps_a_pool_exits_quietly_and_leaves_no_worker(tmp_path):
+    # -X dev shows the ResourceWarning of a pool left running at exit
+    result = subprocess.run([sys.executable, "-X", "dev", "-c", _KEEPING_WRITER,
+                             str(tmp_path / "ds")], env=_src_env(), capture_output=True,
+                            text=True, timeout=120)
+    assert (result.returncode, result.stderr) == (0, "")
+    first, second = map(json.loads, result.stdout.splitlines())
+    assert len(first) == 2 and second == first  # the second write kept the first's pool
+    assert not [pid for pid in first if Path(f"/proc/{pid}").exists()]
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_the_kept_pools_workers_exit_when_their_process_is_killed(tmp_path):
+    # each worker holds no write end of its task pipe, so its parent's
+    # death is end of file to it
+    code = _KEEPING_WRITER + "sys.stdin.read()\n"
+    with subprocess.Popen([sys.executable, "-c", code, str(tmp_path / "ds")], env=_src_env(),
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) as proc:
+        try:
+            proc.stdout.readline()
+            workers = json.loads(proc.stdout.readline())
+            assert len(workers) == 2 and set(workers) == child_pids(proc.pid)
+        finally:
+            proc.kill()
+            proc.wait()
+    deadline = time.monotonic() + 30
+    while [pid for pid in workers if Path(f"/proc/{pid}").exists()] and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not [pid for pid in workers if Path(f"/proc/{pid}").exists()]
+
+
+def test_a_child_of_os_fork_leaves_the_kept_pool_to_its_parent(tmp_path):
+    # the child forks a pool of its own, and its exit terminates none of
+    # its parent's workers, which would leave the parent's pool hanging
+    code = ("import os, sys\n"
+            "from sigforge import dataset\n"
+            "config = dataset.DatasetConfig('clean-val', 1, 0, 64)\n"
+            "want = dataset.write_shards(config, sys.argv[1] + 'a', workers=2)\n"
+            "pid = os.fork()\n"
+            "if pid == 0:\n"
+            "    assert dataset.write_shards(config, sys.argv[1] + 'b', workers=2) == want\n"
+            "    sys.exit(0)\n"
+            "assert os.waitpid(pid, 0)[1] == 0\n"
+            "assert dataset.write_shards(config, sys.argv[1] + 'c', workers=2) == want\n")
+    with subprocess.Popen([sys.executable, "-c", code, str(tmp_path / "ds")], env=_src_env(),
+                          stderr=subprocess.PIPE, text=True, start_new_session=True) as proc:
+        try:
+            _out, err = proc.communicate(timeout=120)
+        finally:
+            with contextlib.suppress(ProcessLookupError):  # what a hang left in the session
+                os.killpg(proc.pid, signal.SIGKILL)
+    assert (proc.returncode, err) == (0, "")
+
+
+def test_concurrent_writes_each_get_their_golden_manifest(tmp_path, monkeypatch, fresh_pool,
+                                                          started):
+    # both threads hold a pool at once: the first to finish keeps its pool,
+    # the second keeps its own and terminates the first's
+    variants = ("clean-train", "impaired-val")
+    met, pread_exact = threading.Barrier(len(variants)), dataset_module._pread_exact
+    waited = set()
+
+    def pread_once_both_have_pools(*args):
+        if len(waited) < len(variants) and threading.get_ident() not in waited:
+            waited.add(threading.get_ident())
+            met.wait(timeout=60)
+        return pread_exact(*args)
+
+    monkeypatch.setattr(dataset_module, "_pread_exact", pread_once_both_have_pools)
+
+    def write(variant):
+        config = DatasetConfig(variant, examples_per_class=1, dataset_seed=7)
+        write_shards(config, tmp_path / variant, workers=2)
+        return hashlib.sha256((tmp_path / variant / "manifest.json").read_bytes()).hexdigest()
+
+    with concurrent.futures.ThreadPoolExecutor(len(variants)) as executor:
+        digests = list(executor.map(write, variants))
+    assert digests == [MANIFEST_SHA256[variant] for variant in variants]
+    assert len(started) == 4
+    assert len([p for p in started if p.is_alive()]) == 2  # one pool kept
+    write_shards(small_config(epc=1, frame_len=MIN_FRAME_LEN), tmp_path / "next", workers=2)
+    assert len(started) == 4
+
+
+def test_threads_racing_for_the_kept_pool_leave_one_pool(tmp_path, fresh_pool, started):
+    config = small_config(epc=1, frame_len=MIN_FRAME_LEN)
+    want = write_shards(config, tmp_path / "inline")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(4) as executor:
+            futures = [executor.submit(write_shards, config, tmp_path / f"w{i}", workers=2)
+                       for i in range(12)]
+            manifests = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert manifests == [want] * 12
+    assert len([p for p in started if p.is_alive()]) == 2  # one pool kept, none leaked
 
 
 def test_pread_exact_refuses_a_short_read(tmp_path):

@@ -22,6 +22,14 @@ def test_mean_power_scalar_oracle():
         mean_power(np.array([], dtype=np.complex128))
 
 
+@pytest.mark.parametrize("shape", [(1,), (7,), (4096,), (3, 129), (2, 3, 5)])
+def test_mean_power_is_np_means_bit_for_bit(shape):
+    rng = np.random.default_rng(sum(shape))
+    frame = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for x in (frame, frame.real, frame[..., ::2]):
+        assert mean_power(x) == float(np.mean(x.real**2 + x.imag**2))
+
+
 def test_mean_power_scaling_law():
     frame = np.array([1 + 2j, -0.5j, 0.25 + 0j, 3 - 1j])
     for c in (0.5, 2.0, 7.3):

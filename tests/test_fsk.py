@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from sigforge.filters import gaussian_taps
 from sigforge.fsk import (
     GAUSSIAN_SPAN_SYMBOLS,
+    _gaussian_taps,
     fsk_spec,
     fsk_waveform,
     gen_fsk,
@@ -24,6 +26,14 @@ def spec_of(name):
 
 # ---------------------------------------------------------------------------
 # tone table
+
+
+def test_gaussian_taps_are_the_design_read_only():
+    for bt in (0.35, 0.2, 0.35):  # a drawn BT between two clean ones
+        taps = _gaussian_taps(bt, 2)
+        assert taps.tobytes() == gaussian_taps(bt, 2, GAUSSIAN_SPAN_SYMBOLS).tobytes()
+        assert not taps.flags.writeable
+    assert _gaussian_taps(0.35, 2) is _gaussian_taps(0.35, 2)
 
 
 def test_tone_frequencies_oracle():

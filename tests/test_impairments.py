@@ -13,6 +13,8 @@ from sigforge.impairments import (
     ImpairmentProfile,
     ImpairmentRecord,
     ImpairmentStep,
+    _draw_rayleigh,
+    _rayleigh,
     _resample,
     add_awgn,
     apply_impairment_chain,
@@ -111,6 +113,23 @@ def test_rayleigh_taps_validation():
         draw_rayleigh_taps(0, rng)
     with pytest.raises(ValueError):
         draw_rayleigh_taps(21, rng)
+
+
+def test_a_rayleigh_step_records_its_taps_and_applies_them_bit_for_bit():
+    rng = derive_stream(5, 2)
+    again = rng.clone()
+    params = _draw_rayleigh(DEFAULT_PROFILE, rng)
+    lo, hi = DEFAULT_PROFILE.rayleigh_taps_range
+    assert params["num_taps"] == int(again.integers(lo, hi + 1))
+    taps = draw_rayleigh_taps(params["num_taps"], again)
+    assert params["taps"] == [[float(t.real), float(t.imag)] for t in taps]
+    frame = derive_stream(5, 3).cnormal(64)
+    want = fir_channel(frame, taps)
+    assert _rayleigh(frame, **params).tobytes() == want.tobytes()
+    assert _rayleigh(frame, **json.loads(json.dumps(params))).tobytes() == want.tobytes()
+    for bad in ([0.1, 0.2], [[0.1, 0.2, 0.3]], [[0.1]]):
+        with pytest.raises(ValueError):
+            _rayleigh(frame, 1, bad)
 
 
 def test_fir_channel_is_causal_convolution():

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from sigforge.filters import rrc_taps
 from sigforge.frame import mean_power
 from sigforge.linear import (
     RRC_SPAN_SYMBOLS,
     SAMPLES_PER_SYMBOL,
+    _shaping_taps,
     gen_linear_mod,
     matched_filter_demod,
     matched_filter_symbols,
@@ -15,6 +17,14 @@ from sigforge.linear import (
 )
 from sigforge.registry import linear_classes
 from sigforge.rng import derive_stream
+
+
+def test_shaping_taps_are_the_rrc_design_read_only():
+    for alpha in (0.35, 0.2, 0.35):  # a drawn alpha between two clean ones
+        taps = _shaping_taps(alpha)
+        assert taps.tobytes() == rrc_taps(alpha, SAMPLES_PER_SYMBOL, RRC_SPAN_SYMBOLS).tobytes()
+        assert not taps.flags.writeable
+    assert _shaping_taps(0.35) is _shaping_taps(0.35)
 
 
 def test_num_symbols_covers_frame():

@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from sigforge.constellations import build_constellation
+from sigforge.filters import lowpass_taps
 from sigforge.ofdm import (
+    _LOWPASS_TAPS,
     CP_FRACTIONS,
     EDGE_TREATMENTS,
+    LOWPASS_CUTOFF,
+    LOWPASS_NUM_TAPS,
     SUBCARRIER_MOD_NAMES,
     OfdmSpec,
     draw_ofdm_spec,
@@ -178,6 +182,11 @@ def test_window_taper_touches_only_symbol_edges():
     np.testing.assert_allclose(a, a[0], rtol=1e-9)
     edge = frame[:ramp] / stream[:ramp]
     assert np.abs(edge).max() < np.abs(a[0])  # ramps attenuate
+
+
+def test_lowpass_taps_are_the_design_read_only():
+    assert _LOWPASS_TAPS.tobytes() == lowpass_taps(LOWPASS_CUTOFF, LOWPASS_NUM_TAPS).tobytes()
+    assert not _LOWPASS_TAPS.flags.writeable
 
 
 def test_lowpass_edge_reduces_out_of_band_energy():
