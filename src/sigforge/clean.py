@@ -1,24 +1,26 @@
-"""Clean-frame dispatcher over the three family generators."""
+"""Clean-frame dispatcher over the three family generators.
+
+The clean recipe's constants, linear.CLEAN_RRC_ALPHA and
+fsk.CLEAN_GAUSSIAN_BT, live beside their generators.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 from sigforge.frame import FRAME_LEN
-from sigforge.fsk import fsk_spec, gen_fsk
-from sigforge.linear import gen_linear_mod
+from sigforge.fsk import CLEAN_GAUSSIAN_BT, fsk_spec, gen_fsk
+from sigforge.linear import CLEAN_RRC_ALPHA, gen_linear_mod
 from sigforge.ofdm import draw_ofdm_spec, gen_ofdm
 from sigforge.registry import SignalDescriptor, class_by_index
 from sigforge.rng import RngStream
-
-CLEAN_RRC_ALPHA = 0.35
-CLEAN_GAUSSIAN_BT = 0.35
 
 
 def gen_clean(class_index: int, rng: RngStream,
               frame_len: int = FRAME_LEN) -> tuple[np.ndarray, SignalDescriptor]:
     """Generate one clean unit-power frame with the fixed clean defaults
-    (RRC alpha 0.35, Gaussian BT 0.35, OFDM structure drawn 50/50)."""
+    (RRC roll-off CLEAN_RRC_ALPHA, Gaussian BT CLEAN_GAUSSIAN_BT, OFDM
+    structure drawn 50/50)."""
     cls = class_by_index(class_index)
     if cls.is_linear:
         return gen_linear_mod(class_index, rng, alpha=CLEAN_RRC_ALPHA, frame_len=frame_len)

@@ -13,7 +13,7 @@ import numpy as np
 from sigforge import dataset as ds
 from sigforge import measurement
 from sigforge.frame import FRAME_LEN
-from sigforge.linear import matched_filter_symbols
+from sigforge.linear import CLEAN_RRC_ALPHA, matched_filter_symbols
 from sigforge.registry import NUM_CLASSES, class_by_index
 from sigforge.server import BatchServer, ServerDefaults
 
@@ -53,7 +53,7 @@ def _write_views(args: argparse.Namespace, frame: np.ndarray, meta: dict) -> int
             print(f"error: --constellation needs a linear class, "
                   f"{cls.name} is {cls.family}", file=sys.stderr)
             return 1
-        alpha = meta.get("shaping", {}).get("rrc_alpha", 0.35)
+        alpha = meta.get("shaping", {}).get("rrc_alpha", CLEAN_RRC_ALPHA)
         _positions, soft = matched_filter_symbols(frame, alpha)
         with open(args.constellation, "w", encoding="utf-8") as fh:
             fh.write("i,q\n")

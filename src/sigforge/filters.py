@@ -15,7 +15,7 @@ def _centered_grid(num_taps: int) -> np.ndarray:
     return np.arange(num_taps, dtype=np.float64) - (num_taps - 1) / 2.0
 
 
-def rrc_taps(alpha: float, samples_per_symbol: int, span_symbols: int = 11) -> np.ndarray:
+def rrc_taps(alpha: float, samples_per_symbol: int, span_symbols: int) -> np.ndarray:
     """Root-raised-cosine taps, unit energy.
 
     Filter length is ``span_symbols * sps + 1``. The two singular points
@@ -51,7 +51,7 @@ def rrc_taps(alpha: float, samples_per_symbol: int, span_symbols: int = 11) -> n
     return taps / np.sqrt(np.sum(taps**2))
 
 
-def gaussian_taps(bt: float, samples_per_symbol: int, span_symbols: int = 4) -> np.ndarray:
+def gaussian_taps(bt: float, samples_per_symbol: int, span_symbols: int) -> np.ndarray:
     """Sampled Gaussian pulse with standard deviation sqrt(ln 2)/(2*pi*bt)
     symbol durations, truncated to span and normalized to unit sum."""
     if not 0.0 < bt <= 1.0:

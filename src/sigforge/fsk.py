@@ -22,6 +22,7 @@ from sigforge.registry import SignalClass, SignalDescriptor, class_by_name
 from sigforge.rng import RngStream
 
 GAUSSIAN_SPAN_SYMBOLS = 4
+CLEAN_GAUSSIAN_BT = 0.35  # the clean recipe's BT; impaired examples draw theirs
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,8 @@ def _gaussian_taps(bt: float, samples_per_symbol: int) -> np.ndarray:
     return taps
 
 
-def fsk_waveform(spec: FskSpec, symbol_indices: np.ndarray, bt: float = 0.35) -> np.ndarray:
+def fsk_waveform(spec: FskSpec, symbol_indices: np.ndarray,
+                 bt: float = CLEAN_GAUSSIAN_BT) -> np.ndarray:
     """Phase-accumulated waveform for an explicit symbol sequence."""
     freq = np.repeat(tone_frequencies(spec)[np.asarray(symbol_indices)], spec.samples_per_symbol)
     if spec.gaussian_shaped:
@@ -74,7 +76,7 @@ def fsk_waveform(spec: FskSpec, symbol_indices: np.ndarray, bt: float = 0.35) ->
     return np.exp(1j * theta)
 
 
-def gen_fsk(spec: FskSpec, rng: RngStream, bt: float = 0.35,
+def gen_fsk(spec: FskSpec, rng: RngStream, bt: float = CLEAN_GAUSSIAN_BT,
             frame_len: int = FRAME_LEN) -> tuple[np.ndarray, SignalDescriptor]:
     """Generate one constant-envelope frame (mean power exactly 1).
 
@@ -85,10 +87,4 @@ def gen_fsk(spec: FskSpec, rng: RngStream, bt: float = 0.35,
     indices = rng.integers(0, spec.order, nsym)
     frame = fsk_waveform(spec, indices, bt)[:frame_len]
     cls = class_by_name(f"{spec.order}{spec.variant}")
-    descriptor = SignalDescriptor(
-        class_index=cls.index,
-        class_name=cls.name,
-        family=cls.family,
-        samples_per_symbol=float(spec.samples_per_symbol),
-    )
-    return frame, descriptor
+    return frame, cls.descriptor(spec.samples_per_symbol)

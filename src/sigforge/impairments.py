@@ -22,7 +22,7 @@ so no call designs a kernel of its own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -264,7 +264,7 @@ def fsk_lpf_resample(frame: np.ndarray, rng: RngStream) -> tuple[np.ndarray, flo
     (>= 40 dB above c), then resamples by decimation factor 0.25/c so the
     retained band edge lands near quarter-rate (half-band occupancy);
     output restored to the input length. Returns (frame, cutoff); the
-    caller updates the descriptor's effective sps to 0.5/cutoff.
+    frame's effective samples per symbol is then 0.5/cutoff.
     """
     cutoff = rng.uniform(0.15625, 0.46875)
     taps = lowpass_taps(cutoff - _FSK_LPF_TRANSITION / 2.0, _FSK_LPF_NUM_TAPS,
@@ -296,11 +296,10 @@ def synthesize_impaired_source(class_index: int, rng: RngStream,
             bt = rng.uniform(0.1, 0.5)
             frame, descriptor = gen_fsk(spec, rng, bt=bt, frame_len=frame_len)
             return frame, descriptor, {"gaussian_bt": bt}
-        frame, descriptor = gen_fsk(spec, rng, frame_len=frame_len)
+        frame, _ = gen_fsk(spec, rng, frame_len=frame_len)
         frame, cutoff = fsk_lpf_resample(frame, rng)
         frame = normalize_unit_power(frame)
-        descriptor = replace(descriptor, samples_per_symbol=0.5 / cutoff)
-        return frame, descriptor, {"lpf_cutoff": cutoff}
+        return frame, cls.descriptor(0.5 / cutoff), {"lpf_cutoff": cutoff}
     frame, descriptor = gen_clean(class_index, rng, frame_len=frame_len)
     return frame, descriptor, {}
 

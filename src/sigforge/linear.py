@@ -19,13 +19,14 @@ from sigforge.rng import RngStream
 
 SAMPLES_PER_SYMBOL = 2
 RRC_SPAN_SYMBOLS = 11
+CLEAN_RRC_ALPHA = 0.35  # the clean recipe's roll-off; impaired examples draw theirs
 
 
-def num_symbols(frame_len: int = FRAME_LEN, samples_per_symbol: int = SAMPLES_PER_SYMBOL,
-                span_symbols: int = RRC_SPAN_SYMBOLS) -> int:
-    """Symbols drawn per frame: enough to fill the frame plus one filter
-    span of margin, so the steady-state crop exactly covers the frame."""
-    return frame_len // samples_per_symbol + span_symbols
+def num_symbols(frame_len: int = FRAME_LEN) -> int:
+    """Symbols drawn for a frame of frame_len samples: enough to fill it at
+    SAMPLES_PER_SYMBOL plus one RRC_SPAN_SYMBOLS filter span of margin, so
+    the steady-state crop exactly covers the frame."""
+    return frame_len // SAMPLES_PER_SYMBOL + RRC_SPAN_SYMBOLS
 
 
 def shape_symbols(symbols: np.ndarray, taps: np.ndarray, frame_len: int,
@@ -40,15 +41,15 @@ def shape_symbols(symbols: np.ndarray, taps: np.ndarray, frame_len: int,
 
 @functools.lru_cache(maxsize=1)
 def _shaping_taps(alpha: float) -> np.ndarray:
-    """gen_linear_mod's RRC taps, read-only. The clean recipe's one alpha
-    is designed once; an impaired example draws its own, and a cache of one
-    keeps those draws from piling up."""
+    """The RRC taps of gen_linear_mod and the matched filters, read-only.
+    The clean recipe's one alpha is designed once; an impaired example
+    draws its own, and a cache of one keeps those draws from piling up."""
     taps = rrc_taps(alpha, SAMPLES_PER_SYMBOL, RRC_SPAN_SYMBOLS)
     taps.flags.writeable = False
     return taps
 
 
-def gen_linear_mod(class_index: int, rng: RngStream, alpha: float = 0.35,
+def gen_linear_mod(class_index: int, rng: RngStream, alpha: float = CLEAN_RRC_ALPHA,
                    frame_len: int = FRAME_LEN) -> tuple[np.ndarray, SignalDescriptor]:
     """Generate one unit-power linearly modulated frame.
 
@@ -64,17 +65,11 @@ def gen_linear_mod(class_index: int, rng: RngStream, alpha: float = 0.35,
     frame = normalize_unit_power(
         shape_symbols(table.points[indices], taps, frame_len, SAMPLES_PER_SYMBOL)
     )
-    descriptor = SignalDescriptor(
-        class_index=cls.index,
-        class_name=cls.name,
-        family=cls.family,
-        samples_per_symbol=float(SAMPLES_PER_SYMBOL),
-    )
-    return frame, descriptor
+    return frame, cls.descriptor(SAMPLES_PER_SYMBOL)
 
 
-def matched_filter_symbols(frame: np.ndarray, alpha: float = 0.35,
-                           frame_len: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def matched_filter_symbols(frame: np.ndarray, alpha: float = CLEAN_RRC_ALPHA
+                           ) -> tuple[np.ndarray, np.ndarray]:
     """Matched-filter the frame and decimate to symbol rate.
 
     Returns ``(symbol_positions, soft_symbols)`` where positions are the
@@ -82,17 +77,14 @@ def matched_filter_symbols(frame: np.ndarray, alpha: float = 0.35,
     Soft symbols are scaled to unit mean power so they land near the
     constellation grid for a clean frame.
     """
-    if frame_len is None:
-        frame_len = len(frame)
     sps, span = SAMPLES_PER_SYMBOL, RRC_SPAN_SYMBOLS
-    taps = rrc_taps(alpha, sps, span)
 
     # Symbol s of the generator peaks at frame sample s*sps - span*sps/2;
     # after matched filtering (full convolution) that moves to index s*sps,
     # which draws on frame samples [s*sps - span*sps, s*sps] — fully inside
-    # the frame exactly for s in [span, (frame_len-1)//sps].
-    z = np.convolve(frame, taps)
-    positions = np.arange(span, (frame_len - 1) // sps + 1)
+    # the frame exactly for s in [span, (len(frame)-1)//sps].
+    z = np.convolve(frame, _shaping_taps(alpha))
+    positions = np.arange(span, (len(frame) - 1) // sps + 1)
     soft = z[positions * sps]
     scale = np.sqrt(np.mean(np.abs(soft) ** 2))
     if scale > 0.0:
@@ -100,8 +92,8 @@ def matched_filter_symbols(frame: np.ndarray, alpha: float = 0.35,
     return positions, soft
 
 
-def matched_filter_demod(frame: np.ndarray, class_index: int, alpha: float = 0.35,
-                         frame_len: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def matched_filter_demod(frame: np.ndarray, class_index: int, alpha: float = CLEAN_RRC_ALPHA
+                         ) -> tuple[np.ndarray, np.ndarray]:
     """Recover symbol indices from a noiseless linearly modulated frame.
 
     Returns ``(symbol_positions, decided_indices)``. The decision is
@@ -113,7 +105,7 @@ def matched_filter_demod(frame: np.ndarray, class_index: int, alpha: float = 0.3
     local refinement can lock onto an off-by-one-level fixed point.
     """
     table = build_constellation(class_index)
-    positions, soft = matched_filter_symbols(frame, alpha, frame_len)
+    positions, soft = matched_filter_symbols(frame, alpha)
 
     def decide(gain: complex) -> np.ndarray:
         dist = np.abs(soft[:, None] / gain - table.points[None, :])

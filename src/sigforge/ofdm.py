@@ -148,10 +148,4 @@ def gen_ofdm(spec: OfdmSpec, rng: RngStream,
         stream = convolve_same(stream, _LOWPASS_TAPS)
     frame = normalize_unit_power(stream[:frame_len])
     cls = class_by_name(f"ofdm-{spec.num_subcarriers}")
-    descriptor = SignalDescriptor(
-        class_index=cls.index,
-        class_name=cls.name,
-        family=cls.family,
-        samples_per_symbol=2.0,  # half-band occupancy equivalent
-    )
-    return frame, descriptor
+    return frame, cls.descriptor(2.0)  # half-band occupancy equivalent

@@ -36,10 +36,15 @@ class SignalClass:
             raise ValueError(f"{self.name} has no per-symbol bit count")
         return int(self.order).bit_length() - 1
 
+    def descriptor(self, samples_per_symbol: float) -> SignalDescriptor:
+        """What a frame of this class at this effective rate claims to be."""
+        return SignalDescriptor(class_index=self.index, class_name=self.name,
+                                family=self.family, samples_per_symbol=float(samples_per_symbol))
+
 
 @dataclass(frozen=True)
 class SignalDescriptor:
-    """What a generated frame claims to be.
+    """What a generated frame claims to be; SignalClass.descriptor builds it.
 
     ``samples_per_symbol`` is the effective value after any rate change
     (e.g. the subsampled FSK path). An impaired frame's Es/N0 target is in

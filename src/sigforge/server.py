@@ -68,7 +68,6 @@ MAX_BATCH = 4096
 # size for frame length but not ask for more samples than this
 MAX_BATCH_SAMPLES = MAX_BATCH * FRAME_LEN
 _MAX_REQUEST_BYTES = 1 << 20
-_REQUEST_FIELDS = ("batch_size", "variant", "seed", "start_index", "frame_len")
 _DTYPE = "f32le-interleaved"
 # longest silence allowed partway through a request frame, and the
 # longest a reply may wait for the peer to take its next chunk
@@ -137,6 +136,11 @@ def _check_request(variant: object, seed: object, frame_len: object, batch_size:
                          f"got {batch_size} * {frame_len}")
     check_int("start_index", start_index, 0)
     return config
+
+
+# the fields a request may set are _check_request's parameters, so the
+# unknown-field check and the checker cannot disagree
+_REQUEST_FIELDS = _check_request.__code__.co_varnames[:_check_request.__code__.co_argcount]
 
 
 @contextlib.contextmanager

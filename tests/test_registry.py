@@ -2,15 +2,20 @@
 
 import pytest
 
+from sigforge.clean import gen_clean
+from sigforge.fsk import fsk_spec
+from sigforge.impairments import synthesize_impaired_source
 from sigforge.registry import (
     CLASS_LIST,
     FSK_VARIANTS,
     NUM_CLASSES,
     OFDM_SUBCARRIER_COUNTS,
+    SignalDescriptor,
     class_by_index,
     class_by_name,
     linear_classes,
 )
+from sigforge.rng import derive_stream
 
 
 def test_fifty_three_classes_in_three_blocks():
@@ -82,3 +87,24 @@ def test_linear_classes_helper():
     linear = linear_classes()
     assert len(linear) == 25
     assert all(c.is_linear for c in linear)
+
+
+def test_every_generator_reports_its_class_descriptor():
+    """Clean and impaired synthesis return SignalClass.descriptor for every
+    class, at each family's samples per symbol: 2 for linear and OFDM, the
+    spec's rate for FSK, and 0.5 / lpf_cutoff for impaired FSK/MSK."""
+    for cls in CLASS_LIST:
+        _, clean = gen_clean(cls.index, derive_stream(28, cls.index), 256)
+        _, impaired, shaping = synthesize_impaired_source(
+            cls.index, derive_stream(28, NUM_CLASSES + cls.index), 256)
+        clean_sps = impaired_sps = 2.0
+        if cls.family == "fsk":
+            spec = fsk_spec(cls)
+            clean_sps = impaired_sps = float(spec.samples_per_symbol)
+            assert ("lpf_cutoff" in shaping) is not spec.gaussian_shaped
+            if not spec.gaussian_shaped:
+                impaired_sps = 0.5 / shaping["lpf_cutoff"]
+        for descriptor, sps in ((clean, clean_sps), (impaired, impaired_sps)):
+            assert descriptor == cls.descriptor(sps), cls.name
+            assert descriptor == SignalDescriptor(cls.index, cls.name, cls.family, sps)
+            assert type(descriptor.samples_per_symbol) is float
