@@ -63,7 +63,8 @@ def _write_views(args: argparse.Namespace, frame: np.ndarray, meta: dict) -> int
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    results = ds.validate(args.in_dir, args.sample)
+    # validate checks sample and workers before it reads anything
+    results = ds.validate(args.in_dir, args.sample, workers=args.workers)
     for result in results:
         suffix = f"  ({result.detail})" if result.detail else ""
         print(f"{result.name}: {'PASS' if result.ok else 'FAIL'}{suffix}")
@@ -118,6 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     val.add_argument("--in", dest="in_dir", required=True)
     val.add_argument("--sample", type=int, default=20,
                      help="examples to regenerate and compare (default 20)")
+    val.add_argument("--workers", type=int, default=len(os.sched_getaffinity(0)),
+                     help="parallel regenerators (default: one per usable CPU)")
     val.set_defaults(func=_cmd_validate)
 
     srv = sub.add_parser("serve", help="run the online batch server")

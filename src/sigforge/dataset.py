@@ -53,7 +53,9 @@ no final-named file that is incomplete.
 
 write_shards keeps its pool for the next call of the process: forking a
 pool and tearing it down cost a 424-example clean job a fifth of its
-time. A call takes the kept pool if it has the workers asked for, else
+time. validate takes the same kept pool to regenerate its sampled
+examples, so a process that writes and validates forks one pool. A call
+of either takes the kept pool if it has the workers asked for, else
 terminates it and forks one; a call that raises terminates its pool, and
 an atexit hook terminates and joins the pool left at exit. A forked child
 does not inherit it. The batch server forks its own pool, which lives as
@@ -62,10 +64,13 @@ long as the server.
 Readers take a shard's IQ in the same _TASK_SIZE-frame blocks, through
 _shards, the one loop over shard files. verify_digests, validate and an
 unverified read hold one block at a time, plus the shard's meta file
-(and, for validate, the stored bytes of its sampled frames): a shard is
+(and, for validate, the stored bytes of its sampled frames and the
+regenerated bytes of those replayed and not yet compared): a shard is
 hashed as it is read, and nothing of it is used before its digests
-match. A verified read holds a shard's raw IQ until then, as its digest
-covers the whole shard, and converts it to frames a block at a time.
+match; only then does validate submit the shard's sampled examples for
+regeneration. A verified read holds a shard's raw IQ until then, as its
+digest covers the whole shard, and converts it to frames a block at a
+time.
 """
 
 from __future__ import annotations
@@ -108,10 +113,14 @@ DEFAULT_SHARD_SIZE = 4096
 # shift, and shorter frames make some classes fail to generate; at 64,
 # every class of both variants generated over 40 seeds.
 MIN_FRAME_LEN = 64
-# Examples per task of iter_range, for shards and server batches alike:
-# small enough to keep pool workers evenly loaded (a default 32-frame batch
-# is 4 tasks) and to stream a shard to disk rather than hold it in memory,
-# large enough to amortize a pool task's round trip.
+# Examples per pool task, for shards, server batches and validate's
+# sampled examples alike: small enough to keep pool workers evenly loaded
+# (a default 32-frame batch is 4 tasks) and to stream a shard to disk
+# rather than hold it in memory, large enough to amortize a pool task's
+# round trip. Validating 64 of 265 impaired 4096-sample examples on 2
+# workers of a 2-CPU x86-64 VM, a call took 76-78 ms and 30-37 ms of the
+# parent's CPU in tasks of 8, 81-88 ms in tasks of 16 or 32, and 95-139 ms
+# and 54-61 ms of the parent's CPU in tasks of 1 or 2.
 _TASK_SIZE = 8
 
 VARIANTS = ("clean-train", "clean-val", "impaired-train", "impaired-val")
@@ -270,7 +279,7 @@ def generate_range(config: DatasetConfig, start: int, count: int) -> tuple[bytes
 def _ranges(start: int, count: int, size: int) -> list[tuple[int, int]]:
     """start .. start+count-1 as (first, n) sub-ranges of size examples in
     index order, the last one shorter: the shards of a dataset, and the
-    tasks of a shard and of a server batch."""
+    tasks of a shard, of a server batch and of validate's replays."""
     return [(first, min(size, start + count - first))
             for first in range(start, start + count, size)]
 
@@ -314,9 +323,10 @@ def fork_pool(workers: int) -> multiprocessing.pool.Pool | None:
     reach the main thread; each worker unblocks both in _init_worker.
 
     The pool lives until its caller terminates it: the batch server's for
-    as long as the server, write_shards' until a call needs another size
-    or raises, or the process exits (see _write_pool). Its workers hold
-    what this process had open when they forked."""
+    as long as the server, the one write_shards and validate keep until a
+    call needs another size or raises, or the process exits (see
+    _write_pool). Its workers hold what this process had open when they
+    forked."""
     if workers < 2:
         return None
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, _POOL_START_SIGNALS)
@@ -333,8 +343,9 @@ def fork_pool(workers: int) -> multiprocessing.pool.Pool | None:
     return pool
 
 
-# The pool write_shards keeps between calls, as (workers, pool), and the
-# lock a call holds while it takes the pool out of the slot or puts it back
+# The pool write_shards and validate keep between calls, as (workers, pool),
+# and the lock a call holds while it takes the pool out of the slot or puts
+# it back
 _kept_pool: tuple[int, multiprocessing.pool.Pool] | None = None
 _kept_pool_lock = threading.Lock()
 
@@ -374,12 +385,13 @@ atexit.register(_drop_pool)
 
 @contextlib.contextmanager
 def _write_pool(workers: int) -> Iterator[multiprocessing.pool.Pool | None]:
-    """write_shards' pool of `workers` processes (None for one worker):
-    the kept pool if it has that many workers, else a fresh fork_pool, the
-    kept one terminated. A body that returns puts its pool back in the
-    slot, where iter_range has left it idle, and terminates any pool a
-    concurrent call put there meanwhile; one that raises, KeyboardInterrupt
-    included, terminates its pool."""
+    """The pool of `workers` processes (None for one worker) that
+    write_shards and validate run on: the kept pool if it has that many
+    workers, else a fresh fork_pool, the kept one terminated. A body that
+    returns puts its pool back in the slot, where iter_range or _replayed
+    has left it idle, and terminates any pool a concurrent call put there
+    meanwhile; one that raises, KeyboardInterrupt included, terminates its
+    pool."""
     if workers < 2:
         yield None
         return
@@ -732,7 +744,50 @@ def _sample_indices(total: int, want: int) -> list[int]:
     return sorted(set(np.linspace(0, total - 1, want).astype(int).tolist()))
 
 
-def validate(dataset_dir: str | Path, sample: int = 20) -> list[CheckResult]:
+def _replay_task(config: DatasetConfig, indices: list[int]
+                 ) -> list[tuple[bytes, str, float | None]]:
+    """Regenerate each example of indices from (dataset_seed, index): its
+    IQ bytes, its canonical meta line without the newline and, for an
+    impaired variant, the |error| in dB of its measured Es/N0 against its
+    target (None for a clean one). One validate task, on a pool worker or
+    inline."""
+    replayed = []
+    for index in indices:
+        frame, meta, pre_noise = _example(
+            index, index % NUM_CLASSES, derive_stream(config.dataset_seed, index), config)
+        snr_error = None
+        if pre_noise is not None:
+            measured = measurement.measure_esn0(
+                pre_noise, frame - pre_noise, meta["samples_per_symbol"])
+            snr_error = abs(measured - meta["snr_db"])
+        replayed.append((frame_to_bytes(frame), _canonical(meta), snr_error))
+    return replayed
+
+
+def _replayed(config: DatasetConfig, indices: list[int], pool: multiprocessing.pool.Pool | None
+              ) -> Iterator[tuple[bytes, str, float | None]]:
+    """_replay_task's results for indices, in their order, from tasks of
+    _TASK_SIZE indices: all submitted at once to the pool if one is
+    given, else run one after another in this process. On a pool it waits
+    on every task it submitted before it returns, as iter_range does, so
+    none outlives it."""
+    tasks = [indices[first:first + n] for first, n in _ranges(0, len(indices), _TASK_SIZE)]
+    if pool is None:
+        for task in tasks:
+            yield from _replay_task(config, task)
+        return
+    pending = []
+    try:
+        for task in tasks:  # the finally waits on each, even if a later one fails
+            pending.append(pool.apply_async(_replay_task, (config, task)))
+        for result in pending:
+            yield from result.get()
+    finally:
+        for result in pending:
+            result.wait()
+
+
+def validate(dataset_dir: str | Path, sample: int = 20, workers: int = 1) -> list[CheckResult]:
     """Check a dataset in one read pass over verified bytes, holding one
     block of a shard, its meta file and its sampled frames: digest (the
     only result if it fails, as every later check reads those bytes),
@@ -741,10 +796,17 @@ def validate(dataset_dir: str | Path, sample: int = 20) -> list[CheckResult]:
     nothing stored trusted; then, of those regenerated, Es/N0 within 0.2 dB
     of target (impaired) and the stored envelope within 1e-6, the float32
     rounding budget, of constant (clean FSK). A failing replay names the
-    first indices that differ. Raises ValueError if sample is negative or
-    the manifest is of another format or malformed (UnsupportedFormatError,
-    ManifestError), FileNotFoundError without one."""
+    first indices that differ. Raises ValueError if sample is negative,
+    workers is below 1 or the manifest is of another format or malformed
+    (UnsupportedFormatError, ManifestError), FileNotFoundError without one.
+
+    A shard's sampled examples are submitted for regeneration once its
+    digests match, as _replay_task's of _TASK_SIZE indices each: at 2 or
+    more workers to the pool write_shards keeps (see _write_pool), inline
+    at 1. Their results are compared in index order, so the results do
+    not depend on workers."""
     check_int("sample", sample, 0)
+    check_int("workers", workers, 1)
     manifest = load_manifest(dataset_dir)
     config = config_from_echo(manifest["config"])
     sampled = set(_sample_indices(manifest["num_examples"], sample))
@@ -755,31 +817,29 @@ def validate(dataset_dir: str | Path, sample: int = 20) -> list[CheckResult]:
     def keep_sampled(first: int, block: bytes) -> dict[int, bytes]:
         return {i: block[(i - first) * frame_bytes:(i + 1 - first) * frame_bytes]
                 for i in range(first, first + len(block) // frame_bytes) if i in sampled}
-    try:
-        for lines, held in _shards(dataset_dir, manifest, True, keep_sampled):
-            stored = {i: raw for kept in held for i, raw in kept.items()}
-            for line in lines:
-                meta = json.loads(line)
-                if not (isinstance(meta, dict) and meta.get("index") == position
-                        and meta.get("class_index") == position % NUM_CLASSES):
-                    in_order = False
-                if position in sampled:
-                    frame, want, pre_noise = _example(
-                        position, position % NUM_CLASSES,
-                        derive_stream(config.dataset_seed, position), config)
-                    if frame_to_bytes(frame) != stored[position] or _canonical(want) != line:
-                        differing.append(position)
-                    if pre_noise is not None:
-                        measured = measurement.measure_esn0(
-                            pre_noise, frame - pre_noise, want["samples_per_symbol"])
-                        snr_errors.append(abs(measured - want["snr_db"]))
-                    elif want["family"] == "fsk":
-                        frame32 = bytes_to_frames(stored[position], config.frame_len)[0]
-                        envelopes.append(measurement.envelope_constancy(
-                            frame32.astype(np.complex128)))
-                position += 1
-    except (DigestMismatchError, FileNotFoundError) as exc:
-        return [CheckResult("digest", False, str(exc))]
+    with _write_pool(workers) as pool:
+        try:
+            for lines, held in _shards(dataset_dir, manifest, True, keep_sampled):
+                stored = {i: raw for kept in held for i, raw in kept.items()}
+                with contextlib.closing(_replayed(config, sorted(stored), pool)) as replayed:
+                    for line in lines:
+                        meta = json.loads(line)
+                        if not (isinstance(meta, dict) and meta.get("index") == position
+                                and meta.get("class_index") == position % NUM_CLASSES):
+                            in_order = False
+                        if position in stored:
+                            iq, want, snr_error = next(replayed)
+                            if iq != stored[position] or want != line:
+                                differing.append(position)
+                            if snr_error is not None:
+                                snr_errors.append(snr_error)
+                            elif CLASS_LIST[position % NUM_CLASSES].family == "fsk":
+                                frame32 = bytes_to_frames(stored[position], config.frame_len)[0]
+                                envelopes.append(measurement.envelope_constancy(
+                                    frame32.astype(np.complex128)))
+                        position += 1
+        except (DigestMismatchError, FileNotFoundError) as exc:
+            return [CheckResult("digest", False, str(exc))]
 
     # with example i of class i mod 53 throughout, balance is a matter of
     # count; load_manifest has checked num_examples against the config

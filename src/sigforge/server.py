@@ -297,7 +297,8 @@ def _recv_into(sock: socket.socket, view: memoryview) -> None:
 
 def request_batch(host: str, port: int, **fields) -> tuple[dict, bytes, bytes]:
     """Client helper: one request, returns (header, iq bytes, meta bytes).
-    Raises RequestError for an error frame and ProtocolError for a reply
+    Raises RequestError for an error frame and ProtocolError for an error
+    frame that is not a JSON object with an "error" string, a reply
     without a JSON header line, whose header's count, frame_len or
     meta_bytes is not an int >= 0 or whose dtype is not f32le-interleaved,
     or whose body is not the size its header gives.
@@ -309,7 +310,13 @@ def request_batch(host: str, port: int, **fields) -> tuple[dict, bytes, bytes]:
         payload = bytearray(length)
         _recv_into(sock, memoryview(payload))
     if message_type == MSG_ERROR:
-        raise RequestError(json.loads(payload.decode("utf-8"))["error"])
+        try:
+            message = json.loads(payload.decode("utf-8"))["error"]
+        except (ValueError, KeyError, TypeError) as exc:  # not UTF-8, not JSON, no "error"
+            raise ProtocolError(f"bad error frame: {exc!r}") from exc
+        if not isinstance(message, str):
+            raise ProtocolError(f"bad error frame: its error is {type(message).__name__}")
+        raise RequestError(message)
     if message_type != MSG_RESPONSE:
         raise ProtocolError(f"unexpected message type {message_type}")
     newline = payload.find(b"\n")

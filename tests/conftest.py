@@ -38,8 +38,9 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """The session ends with write_shards' kept pool joined, so none is
-    left for interpreter teardown, and with no worker any test left alive."""
+    """The session ends with the pool write_shards and validate keep
+    joined, so none is left for interpreter teardown, and with no worker
+    any test left alive."""
     dataset._drop_pool()
     leftover = multiprocessing.active_children()
     assert not leftover, f"processes left alive at the end of the session: {leftover}"
@@ -48,9 +49,10 @@ def pytest_sessionfinish(session, exitstatus):
 @pytest.fixture
 def fresh_pool():
     """For a test that patches code pool workers run (generate_example,
-    generate_range, _write_task, os.pwrite): write_shards' kept pool is
-    dropped before the test, so the workers that run the patch are forked
-    after it, and again after the test, so no later test runs on them."""
+    generate_range, _write_task, os.pwrite, or measure_esn0 in validate's
+    replays): the pool write_shards and validate keep is dropped before the
+    test, so the workers that run the patch are forked after it, and again
+    after the test, so no later test runs on them."""
     dataset._drop_pool()
     yield
     dataset._drop_pool()

@@ -372,6 +372,20 @@ def test_validate_rejects_negative_sample(clean_ds, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_validate_rejects_workers_below_one_before_reading(tmp_path, capsys, workers):
+    # a missing directory would exit 1 had validate read anything
+    assert run(["validate", "--in", str(tmp_path / "nope"), "--workers", workers]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: workers must be >= 1, got {workers}\n"
+    assert captured.out == ""
+
+
+def test_validate_defaults_to_one_worker_per_usable_cpu():
+    args = build_parser().parse_args(["validate", "--in", "ds"])
+    assert args.workers == len(os.sched_getaffinity(0))
+
+
 def test_parser_covers_all_subcommands():
     parser = build_parser()
     args = parser.parse_args(["serve", "--port", "9000"])

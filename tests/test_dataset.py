@@ -881,6 +881,14 @@ def verdicts(results):
     return {r.name: r.ok for r in results}
 
 
+def validated(target, **kwargs):
+    """validate(target, **kwargs) at one worker, checked equal to its
+    results at two, which regenerate on the kept pool."""
+    results = validate(target, **kwargs)
+    assert validate(target, workers=2, **kwargs) == results
+    return results
+
+
 def test_validate_passes_an_intact_dataset(impaired_dir, tmp_path):
     results = validate(impaired_dir, sample=53)
     assert verdicts(results) == {"digest": True, "class-balance": True,
@@ -896,7 +904,7 @@ def test_validate_fails_replay_on_a_wrong_rng_key(impaired_dir, tmp_path):
         meta["rng_key"] += 1
     target = tampered_copy(impaired_dir, tmp_path / "ds", 21, change)
     verify_digests(target)
-    results = validate(target, sample=53)
+    results = validated(target, sample=53)
     assert verdicts(results) == {"digest": True, "class-balance": True,
                                  "replay": False, "snr-calibration": True}
     assert results[2] == CheckResult("replay", False, "53 sampled; first differing: 21")
@@ -920,7 +928,7 @@ def test_validate_fails_replay_on_a_consistently_tampered_record(impaired_dir, t
     redigest(target)
     verify_digests(target)
     assert read_example(target, index)[0].tobytes() == replayed
-    results = validate(target, sample=53)
+    results = validated(target, sample=53)
     assert verdicts(results) == {"digest": True, "class-balance": True,
                                  "replay": False, "snr-calibration": True}
     assert results[2] == CheckResult("replay", False, f"53 sampled; first differing: {index}")
@@ -935,13 +943,13 @@ def test_validate_fails_replay_on_re_digested_iq(impaired_dir, tmp_path):
     blob[(30 - IMPAIRED_SHARD_SIZE) * 8 * 256] ^= 0x01
     iq_path.write_bytes(bytes(blob))
     redigest(target)
-    results = validate(target, sample=53)
+    results = validated(target, sample=53)
     assert verdicts(results) == {"digest": True, "class-balance": True,
                                  "replay": False, "snr-calibration": True}
     assert results[2].detail == "53 sampled; first differing: 30"
 
 
-def test_validate_fails_snr_on_a_shifted_target(impaired_dir, tmp_path, monkeypatch):
+def test_validate_fails_snr_on_a_shifted_target(impaired_dir, tmp_path, monkeypatch, fresh_pool):
     # a recorded target edited and re-digested is a meta line that differs
     # from the regenerated one: a replay failure; the target validate
     # measures against is the regenerated one, which still holds
@@ -951,14 +959,15 @@ def test_validate_fails_snr_on_a_shifted_target(impaired_dir, tmp_path, monkeypa
     def change(meta):
         meta["record"]["target_esn0_db"] += 1.0
     target = tampered_copy(impaired_dir, tmp_path / "ds", index, change)
-    got = verdicts(validate(target, sample=53))
+    got = verdicts(validated(target, sample=53))
     assert got == {"digest": True, "class-balance": True,
                    "replay": False, "snr-calibration": True}
     # a measurement 1 dB off every target fails calibration alone
     measure_esn0 = dataset_module.measurement.measure_esn0
     monkeypatch.setattr(dataset_module.measurement, "measure_esn0",
                         lambda *args: measure_esn0(*args) + 1.0)
-    results = validate(impaired_dir, sample=53)
+    dataset_module._drop_pool()  # so the workers that measure are forked with the patch
+    results = validated(impaired_dir, sample=53)
     assert verdicts(results) == {"digest": True, "class-balance": True,
                                  "replay": True, "snr-calibration": False}
     assert results[3].detail == "53 sampled, worst |error| 1.000 dB"
@@ -976,7 +985,7 @@ def test_validate_fails_balance_on_a_wrong_count(impaired_dir, tmp_path):
     meta_path.write_bytes(b"".join(meta_path.read_bytes().splitlines(keepends=True)[:-1]))
     redigest(target)
     verify_digests(target)
-    results = validate(target, sample=4)
+    results = validated(target, sample=4)
     assert results[1] == CheckResult("class-balance", False, "52 examples, 1 per class expected")
     assert verdicts(results)["digest"] and verdicts(results)["replay"]
 
@@ -990,7 +999,7 @@ def test_validate_fails_digest_on_an_edited_manifest(impaired_dir, tmp_path):
     (target / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     with pytest.raises(DigestMismatchError, match="manifest digest mismatch"):
         verify_digests(target)
-    assert validate(target) == [CheckResult("digest", False, "manifest digest mismatch")]
+    assert validated(target) == [CheckResult("digest", False, "manifest digest mismatch")]
 
 
 def test_manifest_digest_covers_every_other_key(tmp_path):
@@ -1167,7 +1176,7 @@ def test_validate_stops_at_a_digest_failure(impaired_dir, tmp_path):
     blob = bytearray(iq_path.read_bytes())
     blob[7] ^= 0x01
     iq_path.write_bytes(bytes(blob))
-    assert validate(target) == [
+    assert validated(target) == [
         CheckResult("digest", False, "shard-00001.iq digest mismatch")]
 
 
@@ -1189,6 +1198,77 @@ def test_validate_uses_nothing_of_a_shard_before_its_digests_match(
     assert validate(target, sample=53) == [
         CheckResult("digest", False, "shard-00001.iq digest mismatch")]
     assert regenerated == list(range(IMPAIRED_SHARD_SIZE))
+
+
+def test_a_pooled_validate_submits_nothing_of_a_shard_whose_digests_differ(
+        impaired_dir, tmp_path, monkeypatch, fresh_pool, started):
+    target = tmp_path / "ds"
+    shutil.copytree(impaired_dir, target)
+    iq_path = target / "shard-00001.iq"
+    blob = bytearray(iq_path.read_bytes())
+    blob[8 * 256 * 5 + 3] ^= 0x10
+    iq_path.write_bytes(bytes(blob))
+    submitted = []
+    apply_async = multiprocessing.pool.Pool.apply_async
+
+    def recording_apply_async(pool, func, args=(), *rest, **kwargs):
+        submitted.append((func, args))
+        return apply_async(pool, func, args, *rest, **kwargs)
+    monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async", recording_apply_async)
+    assert validate(target, sample=53, workers=2) == [
+        CheckResult("digest", False, "shard-00001.iq digest mismatch")]
+    assert len(started) == 2
+    assert {func for func, _args in submitted} == {dataset_module._replay_task}
+    assert [len(indices) for _func, (_config, indices) in submitted] == [8, 8, 4]
+    assert [i for _func, (_config, indices) in submitted for i in indices] == list(
+        range(IMPAIRED_SHARD_SIZE))
+
+
+@pytest.mark.parametrize("error", [KeyboardInterrupt, ValueError])
+def test_a_validate_that_raises_drops_the_kept_pool(impaired_dir, tmp_path, monkeypatch,
+                                                    fresh_pool, started, error):
+    # KeyboardInterrupt: this process is interrupted at example 10, with
+    # shard 0's replays on the workers. ValueError: shard 1's IQ is a frame
+    # short of its meta, every digest recomputed.
+    target = tmp_path / "ds"
+    shutil.copytree(impaired_dir, target)
+    if error is ValueError:
+        iq_path = target / "shard-00001.iq"
+        iq_path.write_bytes(iq_path.read_bytes()[:-8 * 256])
+        redigest(target)
+    shards = dataset_module._shards
+
+    def interrupted(lines):
+        yield from lines[:10]
+        raise KeyboardInterrupt
+
+    def interrupting_shards(root, *args):
+        for lines, held in shards(root, *args):
+            yield (interrupted(lines) if root == target else lines), held
+    if error is KeyboardInterrupt:
+        monkeypatch.setattr(dataset_module, "_shards", interrupting_shards)
+    # raised holds validate's frame, so only a terminate, not a collection
+    # of the pool, ends its workers
+    with pytest.raises(error) as raised:
+        validate(target, sample=53, workers=2)
+    assert error is KeyboardInterrupt or "shard-00001: " in str(raised.value)
+    assert len(started) == 2
+    assert dataset_module._kept_pool is None
+    assert not multiprocessing.active_children()
+    assert all(result.ok for result in validate(impaired_dir, sample=53, workers=2))
+    assert len(started) == 4  # the next call forked a fresh pool
+
+
+def test_validate_runs_on_the_pool_write_shards_kept(tmp_path, fresh_pool, started):
+    write_shards(small_config("impaired-train", epc=1), tmp_path / "ds", workers=2)
+    assert len(started) == 2
+    kept = dataset_module._kept_pool[1]
+    results = validate(tmp_path / "ds", sample=53, workers=2)
+    assert len(started) == 2  # validate forked nothing
+    assert dataset_module._kept_pool[1] is kept
+    assert results == validate(tmp_path / "ds", sample=53)
+    assert verdicts(results) == {"digest": True, "class-balance": True,
+                                 "replay": True, "snr-calibration": True}
 
 
 @pytest.mark.parametrize("reader", [

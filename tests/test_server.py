@@ -385,15 +385,16 @@ def test_request_batch_reads_default_sized_batch(server):
     assert payload[newline + 1:] == iq + meta
 
 
-def _answer_once(payload):
+def _answer_once(payload, message_type=MSG_RESPONSE):
     """A one-shot server on a local port that answers one request frame
-    with a response frame holding payload; returns (port, its thread)."""
+    with a frame of message_type holding payload; returns (port, its
+    thread)."""
     listener = socket.create_server(("127.0.0.1", 0))
 
     def answer():
         with listener, listener.accept()[0] as conn:
             read_frame(conn)
-            conn.sendall(pack_frame(MSG_RESPONSE, payload))
+            conn.sendall(pack_frame(message_type, payload))
     thread = threading.Thread(target=answer, daemon=True)
     thread.start()
     return listener.getsockname()[1], thread
@@ -402,7 +403,7 @@ def _answer_once(payload):
 _HEAD = b'{"count":1,"dtype":"f32le-interleaved","frame_len":64,"meta_bytes":3}\n'
 
 
-@pytest.mark.parametrize("payload", [
+_BAD_RESPONSES = [
     _HEAD + bytes(511) + b"{}\n",
     _HEAD + bytes(512) + b"{}",
     _HEAD + bytes(512) + b"{}\n{",
@@ -420,11 +421,21 @@ _HEAD = b'{"count":1,"dtype":"f32le-interleaved","frame_len":64,"meta_bytes":3}\
     + bytes(512) + b"{}\n",
     b'{"count":1,"dtype":"f64le-interleaved","frame_len":64,"meta_bytes":3}\n'
     + bytes(512) + b"{}\n",
+]
+# error frames without an "error" string
+_BAD_ERRORS = [b"not json", b"\xff", b"[]", b'{"nope": 1}', b'{"error": 5}', b'{"error": null}']
+
+
+@pytest.mark.parametrize("message_type, payload", [
+    *[(MSG_RESPONSE, payload) for payload in _BAD_RESPONSES],
+    *[(MSG_ERROR, payload) for payload in _BAD_ERRORS],
 ], ids=["short-iq", "short-meta", "long", "truncated", "no-header-line", "unterminated-header",
         "not-json", "not-utf8", "not-an-object", "no-meta-bytes", "string-count",
-        "negative-count", "bool-count", "other-dtype"])
-def test_request_batch_refuses_a_reply_of_the_wrong_size_or_header(payload):
-    port, thread = _answer_once(payload)
+        "negative-count", "bool-count", "other-dtype",
+        "error-not-json", "error-not-utf8", "error-not-an-object", "error-without-error",
+        "error-int", "error-null"])
+def test_request_batch_refuses_a_reply_of_the_wrong_size_or_header(message_type, payload):
+    port, thread = _answer_once(payload, message_type)
     with pytest.raises(ProtocolError):
         request_batch("127.0.0.1", port)
     thread.join(timeout=10)
