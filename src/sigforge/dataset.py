@@ -41,25 +41,19 @@ iter_range is the one loop that turns a range of examples into bytes,
 for write_shards and for the batch server alike. It cuts the range into
 _TASK_SIZE-example tasks; a task writes its IQ into a file the caller
 holds open, at the task's own offset, and hands back only its metadata;
-iter_range submits a range's tasks to the pool with apply_async, yields
-each one's metadata from its AsyncResult in task order and never reads
-the IQ, and waits on the results it has not yielded before it returns,
-so no task outlives its range. write_shards passes a shard file and
-reads each task's IQ back to hash it; the server passes a memory file
-per batch and sends the IQ straight from it. Each shard is written
-under a ``.tmp`` name and renamed once complete, and manifest.json is
-renamed into place last, so an interrupted run leaves no manifest and
+iter_range runs the tasks through pool.ordered, which lets no task
+outlive its range, yields each one's metadata in task order and never
+reads the IQ. write_shards passes a shard file and reads each task's IQ back to
+hash it; the server passes a memory file per batch and sends the IQ
+straight from it. Each shard is written under a ``.tmp`` name and renamed
+once complete, and manifest.json is renamed into place last, so an
+interrupted run, or one whose pool lost a worker, leaves no manifest and
 no final-named file that is incomplete.
 
-write_shards keeps its pool for the next call of the process: forking a
-pool and tearing it down cost a 424-example clean job a fifth of its
-time. validate takes the same kept pool to regenerate its sampled
-examples, so a process that writes and validates forks one pool. A call
-of either takes the kept pool if it has the workers asked for, else
-terminates it and forks one; a call that raises terminates its pool, and
-an atexit hook terminates and joins the pool left at exit. A forked child
-does not inherit it. The batch server forks its own pool, which lives as
-long as the server.
+write_shards and validate run on the pool sigforge.pool keeps between
+calls, so a process that writes and validates forks one pool; a call that
+raises shuts it down, and the next call forks a fresh one. The batch
+server forks its own pool.
 
 Readers take a shard's IQ in the same _TASK_SIZE-frame blocks, through
 _shards, the one loop over shard files. verify_digests, validate and an
@@ -75,18 +69,13 @@ time.
 
 from __future__ import annotations
 
-import atexit
-import contextlib
 import dataclasses
 import errno
 import functools
 import hashlib
 import itertools
 import json
-import multiprocessing
 import os
-import signal
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, ClassVar, Iterable, Iterator
@@ -104,6 +93,7 @@ from sigforge.impairments import (
     replay_impairments,
     synthesize_impaired_source,
 )
+from sigforge.pool import Executor, kept_pool, ordered
 from sigforge.registry import CLASS_LIST, NUM_CLASSES
 from sigforge.rng import RngStream, derive_stream
 
@@ -279,7 +269,7 @@ def generate_range(config: DatasetConfig, start: int, count: int) -> tuple[bytes
 def _ranges(start: int, count: int, size: int) -> list[tuple[int, int]]:
     """start .. start+count-1 as (first, n) sub-ranges of size examples in
     index order, the last one shorter: the shards of a dataset, and the
-    tasks of a shard, of a server batch and of validate's replays."""
+    tasks of a shard and of a server batch."""
     return [(first, min(size, start + count - first))
             for first in range(start, start + count, size)]
 
@@ -290,126 +280,6 @@ def _layout(num_examples: int) -> list[dict]:
     shard table records it."""
     return [{"name": _shard_name(k), "start_index": first, "count": count}
             for k, (first, count) in enumerate(_ranges(0, num_examples, DEFAULT_SHARD_SIZE))]
-
-
-# held back while fork_pool forks its workers
-_POOL_START_SIGNALS = {signal.SIGINT, signal.SIGTERM}
-
-
-def _init_worker() -> None:
-    """Pool workers leave Ctrl-C to their parent, which then terminates
-    them, and die on the SIGTERM of Pool.terminate. A worker starts with
-    SIGINT and SIGTERM blocked, as fork_pool left them; it unblocks them
-    only once both handlers are set, so a SIGTERM held back meanwhile
-    kills it rather than running the handler it inherited."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.pthread_sigmask(signal.SIG_UNBLOCK, _POOL_START_SIGNALS)
-
-
-def fork_pool(workers: int) -> multiprocessing.pool.Pool | None:
-    """A pool of `workers` forked processes, or None for one worker, whose
-    work then runs inline. Fork by name, not the platform's default
-    (forkserver from Python 3.14): forked workers start with this
-    process's imports, and a forkserver pool doubled the time of a cold
-    53-example generate.
-
-    SIGINT and SIGTERM are blocked while the pool forks, so neither a
-    Ctrl-C nor a SIGTERM that a caller maps to KeyboardInterrupt (as
-    `sigforge serve` does) can stop Pool.__init__ between forking a worker
-    and registering it, which would leave that worker running. One that
-    arrives meanwhile is raised when the mask is restored, and the pool is
-    terminated first. The pool's threads keep the blocked mask, so signals
-    reach the main thread; each worker unblocks both in _init_worker.
-
-    The pool lives until its caller terminates it: the batch server's for
-    as long as the server, the one write_shards and validate keep until a
-    call needs another size or raises, or the process exits (see
-    _write_pool). Its workers hold what this process had open when they
-    forked."""
-    if workers < 2:
-        return None
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, _POOL_START_SIGNALS)
-    pool = None
-    try:
-        pool = multiprocessing.get_context("fork").Pool(workers, _init_worker)
-    finally:
-        try:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # runs a held-back signal
-        except BaseException:
-            if pool is not None:
-                pool.terminate()
-            raise
-    return pool
-
-
-# The pool write_shards and validate keep between calls, as (workers, pool),
-# and the lock a call holds while it takes the pool out of the slot or puts
-# it back
-_kept_pool: tuple[int, multiprocessing.pool.Pool] | None = None
-_kept_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    """In a forked child: the kept pool's workers are not its children,
-    and a thread of the parent may have held the lock as it forked. They
-    leave the child's record of its children too, or multiprocessing's
-    exit handler would terminate them when a child of os.fork exits,
-    maybe one holding its pool's task queue lock, hanging the rest."""
-    global _kept_pool, _kept_pool_lock
-    if _kept_pool is not None:
-        multiprocessing.process._children.difference_update(_kept_pool[1]._pool)
-    _kept_pool, _kept_pool_lock = None, threading.Lock()
-
-
-def _swap_pool(kept: tuple[int, multiprocessing.pool.Pool] | None
-               ) -> tuple[int, multiprocessing.pool.Pool] | None:
-    """Put kept (None to empty it) in the slot; return what it held."""
-    global _kept_pool
-    with _kept_pool_lock:
-        held, _kept_pool = _kept_pool, kept
-    return held
-
-
-def _drop_pool() -> None:
-    """Terminate and join the kept pool, if there is one."""
-    held = _swap_pool(None)
-    if held is not None:
-        held[1].terminate()
-        held[1].join()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-atexit.register(_drop_pool)
-
-
-@contextlib.contextmanager
-def _write_pool(workers: int) -> Iterator[multiprocessing.pool.Pool | None]:
-    """The pool of `workers` processes (None for one worker) that
-    write_shards and validate run on: the kept pool if it has that many
-    workers, else a fresh fork_pool, the kept one terminated. A body that
-    returns puts its pool back in the slot, where iter_range or _replayed
-    has left it idle, and terminates any pool a concurrent call put there
-    meanwhile; one that raises, KeyboardInterrupt included, terminates its
-    pool."""
-    if workers < 2:
-        yield None
-        return
-    held = _swap_pool(None)
-    if held is not None and held[0] == workers:
-        pool = held[1]
-    else:
-        if held is not None:
-            held[1].terminate()
-        pool = fork_pool(workers)
-    try:
-        yield pool
-    except BaseException:
-        pool.terminate()
-        raise
-    displaced = _swap_pool((workers, pool))
-    if displaced is not None:
-        displaced[1].terminate()
 
 
 def _write_task(config: DatasetConfig, path: str, identity: os.stat_result, start: int,
@@ -436,51 +306,39 @@ def _write_task(config: DatasetConfig, path: str, identity: os.stat_result, star
 
 
 def iter_range(config: DatasetConfig, fd: int, start: int, count: int,
-               pool: multiprocessing.pool.Pool | None = None
-               ) -> Iterator[tuple[tuple[int, int], bytes]]:
+               pool: Executor | None = None) -> Iterator[tuple[tuple[int, int], bytes]]:
     """Write generate_range(config, start, count)'s IQ into fd and yield
     each of its _TASK_SIZE-example (first, n) sub-ranges with its meta
     bytes, in index order, so the meta concatenates to generate_range's.
-    Each sub-range is a _write_task, run on the pool's workers if one is
-    given, else in this process; it writes its IQ into fd, a file open for
-    reading and writing that this process holds, at the sub-range's offset
-    from start, through /proc/<pid>/fd (so Linux only), and only its meta
-    bytes come back. On a pool every task is submitted at once with
-    apply_async, and each sub-range is yielded with its result's get() in
-    task order (inline, as it runs), so a sub-range is yielded once its IQ
-    is in fd and the bytes do not depend on scheduling; iter_range itself
-    reads no IQ, and holds no result past its yield. After the last one
-    it raises OSError (EIO) unless fd holds exactly the range's IQ.
+    Each sub-range is a _write_task, run through pool.ordered: on the
+    pool's workers if one is given, else in this process. It writes its IQ
+    into fd, a file open for reading and writing that this process holds,
+    at the sub-range's offset from start, through /proc/<pid>/fd (so Linux
+    only), and only its meta bytes come back. A sub-range is yielded once
+    its IQ is in fd, so the bytes do not depend on scheduling; iter_range
+    itself reads no IQ. After the last one it raises OSError (EIO) unless
+    fd holds exactly the range's IQ. Raises pool.WorkerLostError if a
+    worker of the pool died.
 
     The tasks write through a duplicate of fd that iter_range closes when
-    the range ends, and on a pool it then calls wait() on the result of
-    every task it submitted and has not yielded. So a range that ends
-    early, because a task raised, the caller stopped or a submission
-    failed (a pool no longer running raises ValueError), leaves no
-    descriptor open and returns once its running tasks have ended, while
-    its queued ones fail at _write_task's open without generating: no
-    task outlives its range, and a pool terminated after it has no worker
-    left sending a result (Pool.terminate can hang on a worker killed
-    mid-send)."""
+    the range ends, before ordered waits on the tasks still running. So a
+    range that ends early, because a task raised, a worker died or the
+    caller stopped, leaves no descriptor open and returns once its running
+    tasks have ended, while the queued ones a worker had already taken
+    fail at _write_task's open without generating: no task outlives its
+    range."""
     own = os.dup(fd)
     write = functools.partial(_write_task, config, f"/proc/{os.getpid()}/fd/{own}",
                               os.fstat(own), start)
     tasks = _ranges(start, count, _TASK_SIZE)
-    pending = []
-    try:
-        if pool is not None:
-            for task in tasks:  # the finally waits on each, even if a later one fails
-                pending.append(pool.apply_async(write, (task,)))
-        for task in tasks:
-            yield task, write(task) if pool is None else pending[0].get()
-            del pending[:1]  # so a shard's meta is not all held until its end
-        size, held = count * 8 * config.frame_len, os.fstat(fd).st_size
-        if held != size:
-            raise OSError(errno.EIO, f"the IQ file holds {held} bytes, the range's IQ is {size}")
-    finally:
-        os.close(own)
-        for result in pending:  # none inline: nothing runs past the task that raised
-            result.wait()
+    with ordered(pool, write, tasks) as metas:
+        try:
+            yield from zip(tasks, metas)
+        finally:
+            os.close(own)
+    size, held = count * 8 * config.frame_len, os.fstat(fd).st_size
+    if held != size:
+        raise OSError(errno.EIO, f"the IQ file holds {held} bytes, the range's IQ is {size}")
 
 
 def _pread_exact(fd: int, size: int, offset: int) -> bytes:
@@ -516,15 +374,15 @@ def write_shards(config: DatasetConfig, out_dir: str | Path, workers: int = 1,
     DEFAULT_SHARD_SIZE examples each, the last one shorter; no caller
     chooses another. Each shard's range runs through iter_range on a pool
     of `workers` forked processes (inline at 1), kept for the next call
-    of this process, dropped if this one raises and joined at exit (see
-    the module docstring): its tasks write IQ
-    straight into the shard file, and the parent takes each task's meta
-    in task order, reads the task's IQ back from the file, appends the
-    meta and hashes both, so it holds one task's bytes at a time.
-    Both shard files are written under a .tmp name and renamed once
-    complete, and manifest.json is renamed into place last: a run that
-    raises or is killed leaves no manifest and no incomplete file under a
-    final name."""
+    of this process and shut down if this one raises (see
+    pool.kept_pool): its tasks write IQ straight into the shard file, and
+    the parent takes each task's meta in task order, reads the task's IQ
+    back from the file, appends the meta and hashes both, so it holds one
+    task's bytes at a time. Both shard files are written under a .tmp
+    name and renamed once complete, and manifest.json is renamed into
+    place last: a run that raises or is killed leaves no manifest and no
+    incomplete file under a final name. A run whose pool lost a worker
+    raises pool.WorkerLostError."""
     check_int("workers", workers, 1)
     out_path = Path(out_dir)
     if out_path.exists() and any(out_path.iterdir()) and not force:
@@ -540,7 +398,7 @@ def write_shards(config: DatasetConfig, out_dir: str | Path, workers: int = 1,
     overall = hashlib.sha256()
     shard_entries = []
     frame_bytes = 8 * config.frame_len
-    with _write_pool(workers) as pool:
+    with kept_pool(workers) as pool:
         for shard in _layout(config.total_examples):
             name, start = shard["name"], shard["start_index"]
             iq_path, meta_path = out_path / f"{name}.iq", out_path / f"{name}.meta.jsonl"
@@ -764,29 +622,6 @@ def _replay_task(config: DatasetConfig, indices: list[int]
     return replayed
 
 
-def _replayed(config: DatasetConfig, indices: list[int], pool: multiprocessing.pool.Pool | None
-              ) -> Iterator[tuple[bytes, str, float | None]]:
-    """_replay_task's results for indices, in their order, from tasks of
-    _TASK_SIZE indices: all submitted at once to the pool if one is
-    given, else run one after another in this process. On a pool it waits
-    on every task it submitted before it returns, as iter_range does, so
-    none outlives it."""
-    tasks = [indices[first:first + n] for first, n in _ranges(0, len(indices), _TASK_SIZE)]
-    if pool is None:
-        for task in tasks:
-            yield from _replay_task(config, task)
-        return
-    pending = []
-    try:
-        for task in tasks:  # the finally waits on each, even if a later one fails
-            pending.append(pool.apply_async(_replay_task, (config, task)))
-        for result in pending:
-            yield from result.get()
-    finally:
-        for result in pending:
-            result.wait()
-
-
 def validate(dataset_dir: str | Path, sample: int = 20, workers: int = 1) -> list[CheckResult]:
     """Check a dataset in one read pass over verified bytes, holding one
     block of a shard, its meta file and its sampled frames: digest (the
@@ -801,10 +636,11 @@ def validate(dataset_dir: str | Path, sample: int = 20, workers: int = 1) -> lis
     (UnsupportedFormatError, ManifestError), FileNotFoundError without one.
 
     A shard's sampled examples are submitted for regeneration once its
-    digests match, as _replay_task's of _TASK_SIZE indices each: at 2 or
-    more workers to the pool write_shards keeps (see _write_pool), inline
-    at 1. Their results are compared in index order, so the results do
-    not depend on workers."""
+    digests match, as _replay_task's of _TASK_SIZE indices each, through
+    pool.ordered: at 2 or more workers on the pool write_shards keeps (see
+    pool.kept_pool), inline at 1. Their results are compared in index
+    order, so the results do not depend on workers. Raises
+    pool.WorkerLostError if a worker of the pool died."""
     check_int("sample", sample, 0)
     check_int("workers", workers, 1)
     manifest = load_manifest(dataset_dir)
@@ -817,11 +653,14 @@ def validate(dataset_dir: str | Path, sample: int = 20, workers: int = 1) -> lis
     def keep_sampled(first: int, block: bytes) -> dict[int, bytes]:
         return {i: block[(i - first) * frame_bytes:(i + 1 - first) * frame_bytes]
                 for i in range(first, first + len(block) // frame_bytes) if i in sampled}
-    with _write_pool(workers) as pool:
+    with kept_pool(workers) as pool:
         try:
             for lines, held in _shards(dataset_dir, manifest, True, keep_sampled):
                 stored = {i: raw for kept in held for i, raw in kept.items()}
-                with contextlib.closing(_replayed(config, sorted(stored), pool)) as replayed:
+                indices = sorted(stored)
+                tasks = [indices[i:i + _TASK_SIZE] for i in range(0, len(indices), _TASK_SIZE)]
+                with ordered(pool, functools.partial(_replay_task, config), tasks) as batches:
+                    replayed = itertools.chain.from_iterable(batches)
                     for line in lines:
                         meta = json.loads(line)
                         if not (isinstance(meta, dict) and meta.get("index") == position

@@ -11,7 +11,8 @@ Request payload is a JSON object; unset fields fall back to the server's
 defaults: {"batch_size": int (1..4096), "variant": str, "seed": int,
 "start_index": int (>= 0), "frame_len": int (>= dataset.MIN_FRAME_LEN)},
 and a batch holds at most MAX_BATCH_SAMPLES = 4096 * 4096 samples
-(batch_size * frame_len). Any other field is rejected, so a mistyped
+(batch_size * frame_len) and ends at index 2**63 at the latest
+(start_index + batch_size). Any other field is rejected, so a mistyped
 name does not silently fall back to a default. Integer fields take JSON
 integers only: booleans, floats and strings are rejected, not coerced.
 Requests are capped at 1 MiB; responses are not. Waiting for the first
@@ -40,23 +41,27 @@ matter which client sends them, when, or which worker generates them. A
 malformed header draws an error frame and a close; a well-framed but
 invalid request draws an error frame and the connection stays usable;
 any other failure to build a batch draws an "internal error: ..." error
-frame and a close.
+frame and a close. A pool worker that dies, killed by the out-of-memory
+killer say, fails the batches it was generating with
+pool.WorkerLostError, each answered that way, and the server forks a
+fresh pool in place of the lost one before it answers.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-import multiprocessing
 import os
 import socket
 import socketserver
 import struct
+import threading
 from dataclasses import asdict, dataclass
 from typing import BinaryIO, Iterator
 
-from sigforge.dataset import DatasetConfig, fork_pool, iter_range
+from sigforge.dataset import DatasetConfig, iter_range
 from sigforge.frame import FRAME_LEN, check_int
+from sigforge.pool import Executor, WorkerLostError, fork_pool
 
 MAGIC = b"SG53"
 PROTOCOL_VERSION = 1
@@ -134,7 +139,9 @@ def _check_request(variant: object, seed: object, frame_len: object, batch_size:
     if batch_size * frame_len > MAX_BATCH_SAMPLES:
         raise ValueError(f"batch_size * frame_len must be <= {MAX_BATCH_SAMPLES}, "
                          f"got {batch_size} * {frame_len}")
-    check_int("start_index", start_index, 0)
+    # stream keys alias modulo 2**64, so no batch reaches index 2**63: past
+    # it, a batch would serve lower indices' bytes under its own
+    check_int("start_index", start_index, 0, 2**63 - batch_size)
     return config
 
 
@@ -144,7 +151,7 @@ _REQUEST_FIELDS = _check_request.__code__.co_varnames[:_check_request.__code__.c
 
 
 @contextlib.contextmanager
-def _batch(request: dict, defaults: "ServerDefaults", pool: multiprocessing.pool.Pool | None
+def _batch(request: dict, defaults: "ServerDefaults", pool: Executor | None
            ) -> Iterator[tuple[bytes, BinaryIO, bytes]]:
     """Check a request dict and generate its batch into a memory file;
     yields (header line, IQ file, meta bytes), the three parts of the
@@ -171,8 +178,7 @@ def _batch(request: dict, defaults: "ServerDefaults", pool: multiprocessing.pool
         yield header.encode("utf-8"), iq_file, meta_blob
 
 
-def build_batch(request: dict, defaults: "ServerDefaults",
-                pool: multiprocessing.pool.Pool | None = None) -> bytes:
+def build_batch(request: dict, defaults: "ServerDefaults", pool: Executor | None = None) -> bytes:
     """Generate the response payload for a request dict, on the pool's
     workers if one is given, else in this process; the bytes are the same.
     Raises RequestError if a field is unknown, has the wrong type or is out
@@ -236,7 +242,7 @@ class _Handler(socketserver.BaseRequestHandler):
                     raise RequestError(f"request is not valid JSON: {exc}") from exc
                 if not isinstance(request, dict):
                     raise RequestError("request must be a JSON object")
-                with _batch(request, self.server.defaults, self.server.pool) as parts:
+                with _batch(request, self.server.defaults, pool := self.server.pool) as parts:
                     try:
                         _send_batch(sock, *parts)
                     except OSError:  # the peer is gone or stopped reading
@@ -244,6 +250,8 @@ class _Handler(socketserver.BaseRequestHandler):
             except (ConnectionError, TimeoutError):
                 return
             except Exception as exc:  # a bad request keeps the connection; anything else closes it
+                if isinstance(exc, WorkerLostError):  # first, so a retry finds a fresh pool
+                    self.server.replace_pool(pool)
                 known = isinstance(exc, (RequestError, ProtocolError))
                 message = str(exc) if known else f"internal error: {exc!r}"
                 try:
@@ -258,7 +266,9 @@ class BatchServer(socketserver.ThreadingTCPServer):
     """One thread per connection; a connection handles one batch at a time,
     which bounds buffered memory per client. Batches are generated on a
     process pool of one worker per usable CPU (none on a single CPU), which
-    lives until server_close()."""
+    lives until server_close(), or until a worker dies: the batch that
+    finds it lost is answered with an internal error, and the pool is
+    replaced."""
 
     allow_reuse_address = True
     daemon_threads = True
@@ -267,23 +277,37 @@ class BatchServer(socketserver.ThreadingTCPServer):
         check_int("port", address[1], 0, 65535)  # before the pool forks, not at bind
         self.defaults = defaults if defaults is not None else ServerDefaults()
         # Forked before the listening socket exists, so workers do not hold
-        # it open, and before serve_forever starts any handler thread, as
-        # forking a threaded process is unsafe. Forked workers inherit every
-        # module this process has imported, so none re-imports numpy and
-        # sigforge before its first batch.
+        # it open, and before serve_forever starts any handler thread. A pool
+        # that replace_pool forks later holds what the server has open then,
+        # sockets and memory files of batches in flight included, until it
+        # is shut down. Forked workers inherit every module this process has
+        # imported, so none re-imports numpy and sigforge before its first
+        # batch.
         self.pool = fork_pool(len(os.sched_getaffinity(0)))
+        self._pool_lock = threading.Lock()
         super().__init__(address, _Handler)  # a failed bind calls server_close
 
     @property
     def port(self) -> int:
         return self.server_address[1]
 
+    def replace_pool(self, lost: Executor) -> None:
+        """Fork a fresh pool in place of lost, which lost a worker, and shut
+        lost down; a handler that finds lost already replaced does
+        nothing, so the pool is replaced once however many batches lost."""
+        with self._pool_lock:
+            if self.pool is lost:
+                self.pool = fork_pool(len(os.sched_getaffinity(0)))
+                lost.shutdown()
+
     def server_close(self) -> None:
-        """Close the listening socket, then terminate and join the pool."""
+        """Close the listening socket, then shut down the pool and join its
+        workers; a batch still generating on it is answered with an
+        internal error."""
         super().server_close()
-        if self.pool is not None:
-            self.pool.terminate()
-            self.pool.join()
+        with self._pool_lock:
+            if self.pool is not None:
+                self.pool.shutdown(cancel_futures=True)
 
 
 def _recv_into(sock: socket.socket, view: memoryview) -> None:

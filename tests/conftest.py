@@ -4,12 +4,15 @@ that the session leaves no process behind."""
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sigforge import dataset
+from sigforge import pool
 from sigforge.rng import derive_stream
 
 # Populated by tests/test_acceptance.py; printed after the run so the
@@ -38,10 +41,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """The session ends with the pool write_shards and validate keep
-    joined, so none is left for interpreter teardown, and with no worker
-    any test left alive."""
-    dataset._drop_pool()
+    """The session ends with the pool write_shards and validate keep shut
+    down and its workers joined, rather than left to concurrent.futures'
+    exit hook, and with no worker any test left alive."""
+    pool._drop_pool()
     leftover = multiprocessing.active_children()
     assert not leftover, f"processes left alive at the end of the session: {leftover}"
 
@@ -50,12 +53,12 @@ def pytest_sessionfinish(session, exitstatus):
 def fresh_pool():
     """For a test that patches code pool workers run (generate_example,
     generate_range, _write_task, os.pwrite, or measure_esn0 in validate's
-    replays): the pool write_shards and validate keep is dropped before the
-    test, so the workers that run the patch are forked after it, and again
-    after the test, so no later test runs on them."""
-    dataset._drop_pool()
+    replays): the pool write_shards and validate keep is shut down before
+    the test, so the workers that run the patch are forked after it, and
+    again after the test, so no later test runs on them."""
+    pool._drop_pool()
     yield
-    dataset._drop_pool()
+    pool._drop_pool()
 
 
 @pytest.fixture
@@ -90,3 +93,32 @@ def child_pids(pid: int) -> set[int]:
         if int(fields[1]) == pid:  # fields: state, ppid, ...
             children.add(int(stat.parent.name))
     return children
+
+
+def block_once(flag: Path, real, blocks):
+    """real, except that the first call for which blocks(*args) holds, in
+    whichever process makes it, writes its pid to flag and sleeps until it
+    is killed: a pool worker that dies partway through its task. Later
+    calls, flag existing, run real. Set it before the pool forks."""
+    def blocking(*args):
+        if blocks(*args):
+            try:
+                fd = os.open(flag, os.O_WRONLY | os.O_CREAT | os.O_EXCL)
+            except FileExistsError:
+                return real(*args)
+            os.write(fd, str(os.getpid()).encode())
+            os.close(fd)
+            time.sleep(120)
+        return real(*args)
+    return blocking
+
+
+def kill_blocked(flag: Path) -> float:
+    """SIGKILL the process block_once blocked at flag, once it has written
+    its pid; returns the time.monotonic() of the kill."""
+    deadline = time.monotonic() + 60
+    while not (flag.exists() and flag.read_text()):
+        assert time.monotonic() < deadline, "no task reached the blocking call"
+        time.sleep(0.01)
+    os.kill(int(flag.read_text()), signal.SIGKILL)
+    return time.monotonic()

@@ -11,7 +11,7 @@ import hashlib
 import io
 import itertools
 import json
-import multiprocessing.pool
+import multiprocessing
 import os
 import shutil
 import signal
@@ -27,8 +27,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import child_pids
+from conftest import block_once, child_pids, kill_blocked
 from sigforge import dataset as dataset_module
+from sigforge import pool as pool_module
 from sigforge.cli import main
 from sigforge.dataset import (
     DEFAULT_SHARD_SIZE,
@@ -62,7 +63,7 @@ from sigforge.impairments import DEFAULT_PROFILE, NO_IMPAIRMENT_PROFILE
 from sigforge.registry import CLASS_LIST, NUM_CLASSES
 from sigforge.rng import derive_stream
 from sigforge.server import ServerDefaults, build_batch
-from test_golden import MANIFEST_SHA256
+from test_golden import MANIFEST_SHA256, VALIDATE_STDOUT_SHA256
 
 
 def small_config(variant="clean-train", epc=2, seed=3, frame_len=256):
@@ -513,11 +514,12 @@ def _signal_while_the_pool_forks(monkeypatch, signum):
     second: it raises KeyboardInterrupt once the pool is built, and leaves
     no worker alive."""
     pools, started = [], []
-    real_init, real_start = multiprocessing.pool.Pool.__init__, multiprocessing.context.ForkProcess.start
+    real_init = concurrent.futures.ProcessPoolExecutor.__init__
+    real_start = multiprocessing.context.ForkProcess.start
 
     def recording_init(pool, *args, **kwargs):
-        pools.append(pool)  # as a caller holding the interrupt's traceback would
         real_init(pool, *args, **kwargs)
+        pools.append(pool)  # as a caller holding the interrupt's traceback would
 
     def start_then_signal(process):
         real_start(process)
@@ -525,17 +527,16 @@ def _signal_while_the_pool_forks(monkeypatch, signum):
         if len(started) == 1:  # a signal between the first fork and the second
             signal.raise_signal(signum)
 
-    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", recording_init)
+    monkeypatch.setattr(concurrent.futures.ProcessPoolExecutor, "__init__", recording_init)
     monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start_then_signal)
     try:
         with pytest.raises(KeyboardInterrupt):
-            dataset_module.fork_pool(2)
+            pool_module.fork_pool(2)
         assert not [p.pid for p in started if p.is_alive()]
         assert len(started) == 2  # the interrupt waited for the pool
     finally:  # whatever a leaked pool left running
-        for pool in pools:
-            if hasattr(pool, "_terminate"):  # a constructed one, with its threads
-                pool.terminate()
+        for pool in pools:  # each a constructed one
+            pool.shutdown(cancel_futures=True)
         for process in started:
             process.terminate()
             process.join(timeout=30)
@@ -544,10 +545,25 @@ def _signal_while_the_pool_forks(monkeypatch, signum):
 
 def test_a_ctrl_c_while_the_pool_forks_leaves_no_worker(monkeypatch):
     _signal_while_the_pool_forks(monkeypatch, signal.SIGINT)
-    pool = dataset_module.fork_pool(2)
-    pool.terminate()
-    pool.join()
+    pool = pool_module.fork_pool(2)
+    pool.shutdown()
     assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, set())
+
+
+def test_a_fork_that_fails_while_the_pool_forks_leaves_no_worker(monkeypatch):
+    # the second fork fails, as it can at a process limit or out of memory
+    started, real_start = [], multiprocessing.context.ForkProcess.start
+
+    def start_then_fail(process):
+        if started:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        real_start(process)
+        started.append(process)
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start_then_fail)
+    with pytest.raises(OSError, match="Resource temporarily unavailable"):
+        pool_module.fork_pool(2)
+    started[0].join(timeout=30)
+    assert not started[0].is_alive()
 
 
 def _sigterm_blocked(pid):
@@ -564,17 +580,16 @@ def test_a_sigterm_while_the_pool_forks_leaves_no_worker(monkeypatch):
         _signal_while_the_pool_forks(monkeypatch, signal.SIGTERM)
     finally:
         signal.signal(signal.SIGTERM, handler)
-    pool = dataset_module.fork_pool(2)
+    pool = pool_module.fork_pool(2)
     try:
-        # each worker unblocks SIGTERM in its initializer, so terminate() can kill it
+        # each worker unblocks SIGTERM in its initializer, so a broken pool can kill it
         deadline = time.monotonic() + 30
-        for worker in pool._pool:
+        for worker in pool._processes.values():
             while _sigterm_blocked(worker.pid) and time.monotonic() < deadline:
                 time.sleep(0.01)
             assert not _sigterm_blocked(worker.pid)
     finally:
-        pool.terminate()
-        pool.join()
+        pool.shutdown()
     assert not signal.pthread_sigmask(signal.SIG_BLOCK, set()) & {signal.SIGINT, signal.SIGTERM}
 
 
@@ -614,7 +629,7 @@ def test_iq_that_never_reached_the_file_is_not_hashed(tmp_path, monkeypatch, wor
     assert raised.value.errno == errno.EIO
     assert not (target / "manifest.json").exists()
     # nor served: iter_range refuses a batch's memory file short of its IQ
-    with dataset_module.fork_pool(workers) or contextlib.nullcontext() as pool:
+    with pool_module.fork_pool(workers) or contextlib.nullcontext() as pool:
         with pytest.raises(OSError) as raised:
             build_batch({"batch_size": 13, "frame_len": MIN_FRAME_LEN}, ServerDefaults(), pool)
     assert raised.value.errno == errno.EIO
@@ -715,8 +730,7 @@ def test_a_process_that_keeps_a_pool_exits_quietly_and_leaves_no_worker(tmp_path
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 def test_the_kept_pools_workers_exit_when_their_process_is_killed(tmp_path):
-    # each worker holds no write end of its task pipe, so its parent's
-    # death is end of file to it
+    # each worker watches a pidfd of its parent, whose death ends it
     code = _KEEPING_WRITER + "sys.stdin.read()\n"
     with subprocess.Popen([sys.executable, "-c", code, str(tmp_path / "ds")], env=_src_env(),
                           stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True) as proc:
@@ -800,6 +814,59 @@ def test_threads_racing_for_the_kept_pool_leave_one_pool(tmp_path, fresh_pool, s
         sys.setswitchinterval(interval)
     assert manifests == [want] * 12
     assert len([p for p in started if p.is_alive()]) == 2  # one pool kept, none leaked
+
+
+def _killed_mid_range(flag, call, *args):
+    """What call(*args), run in a thread, returns or raises once the worker
+    block_once blocked at flag is SIGKILLed, and the seconds from the kill
+    to then. A call still running 30 s after the kill fails the test
+    rather than hanging the run."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(call(*args))
+        except BaseException as exc:
+            outcome.append(exc)
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    killed = kill_blocked(flag)
+    thread.join(30)
+    assert not thread.is_alive(), "still waiting 30 s after its worker was killed"
+    return outcome[0], time.monotonic() - killed
+
+
+def test_a_worker_killed_mid_range_fails_write_shards(tmp_path, monkeypatch, fresh_pool):
+    # the worker that takes the task of examples 16..23 dies in it
+    flag = tmp_path / "blocked"
+    monkeypatch.setattr(dataset_module, "generate_range", block_once(
+        flag, dataset_module.generate_range, lambda _config, first, _count: first == 16))
+    config = DatasetConfig("impaired-train", examples_per_class=1, dataset_seed=7)
+    raised, seconds = _killed_mid_range(flag, write_shards, config, tmp_path / "failed", 2)
+    assert isinstance(raised, pool_module.WorkerLostError) and seconds < 5
+    assert not [p.name for p in (tmp_path / "failed").iterdir() if not p.name.endswith(".tmp")]
+    assert pool_module._kept_pool is None and not multiprocessing.active_children()
+    write_shards(config, tmp_path / "again", workers=2)
+    raw = (tmp_path / "again" / "manifest.json").read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == MANIFEST_SHA256["impaired-train"]
+
+
+def test_a_worker_killed_mid_range_fails_validate(tmp_path, monkeypatch, capsys, fresh_pool):
+    # the worker that regenerates example 16 dies in it; the CLI reports
+    # the loss as it does any OSError
+    write_shards(DatasetConfig("impaired-train", examples_per_class=1, dataset_seed=7),
+                 tmp_path / "ds")
+    flag = tmp_path / "blocked"
+    monkeypatch.setattr(dataset_module, "_example", block_once(
+        flag, dataset_module._example, lambda index, *_rest: index == 16))
+    args = ["validate", "--in", str(tmp_path / "ds"), "--workers", "2"]
+    code, seconds = _killed_mid_range(flag, main, [*args, "--sample", "53"])
+    assert code == 1 and seconds < 5
+    assert capsys.readouterr() == ("", "error: a pool worker died before its tasks ended\n")
+    assert pool_module._kept_pool is None and not multiprocessing.active_children()
+    assert main([*args, "--sample", "8"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VALIDATE_STDOUT_SHA256["impaired-train"]
 
 
 def test_pread_exact_refuses_a_short_read(tmp_path):
@@ -966,7 +1033,7 @@ def test_validate_fails_snr_on_a_shifted_target(impaired_dir, tmp_path, monkeypa
     measure_esn0 = dataset_module.measurement.measure_esn0
     monkeypatch.setattr(dataset_module.measurement, "measure_esn0",
                         lambda *args: measure_esn0(*args) + 1.0)
-    dataset_module._drop_pool()  # so the workers that measure are forked with the patch
+    pool_module._drop_pool()  # so the workers that measure are forked with the patch
     results = validated(impaired_dir, sample=53)
     assert verdicts(results) == {"digest": True, "class-balance": True,
                                  "replay": True, "snr-calibration": False}
@@ -1209,12 +1276,19 @@ def test_a_pooled_validate_submits_nothing_of_a_shard_whose_digests_differ(
     blob[8 * 256 * 5 + 3] ^= 0x10
     iq_path.write_bytes(bytes(blob))
     submitted = []
-    apply_async = multiprocessing.pool.Pool.apply_async
+    fork_pool = pool_module.fork_pool
 
-    def recording_apply_async(pool, func, args=(), *rest, **kwargs):
-        submitted.append((func, args))
-        return apply_async(pool, func, args, *rest, **kwargs)
-    monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async", recording_apply_async)
+    def recording_fork_pool(workers):
+        # what the library submits to the pool once fork_pool has made it
+        pool = fork_pool(workers)
+        submit = pool.submit
+
+        def recording_submit(fn, /, *args, **kwargs):
+            submitted.append((fn.func, (*fn.args, *args)))
+            return submit(fn, *args, **kwargs)
+        pool.submit = recording_submit
+        return pool
+    monkeypatch.setattr(pool_module, "fork_pool", recording_fork_pool)
     assert validate(target, sample=53, workers=2) == [
         CheckResult("digest", False, "shard-00001.iq digest mismatch")]
     assert len(started) == 2
@@ -1253,7 +1327,7 @@ def test_a_validate_that_raises_drops_the_kept_pool(impaired_dir, tmp_path, monk
         validate(target, sample=53, workers=2)
     assert error is KeyboardInterrupt or "shard-00001: " in str(raised.value)
     assert len(started) == 2
-    assert dataset_module._kept_pool is None
+    assert pool_module._kept_pool is None
     assert not multiprocessing.active_children()
     assert all(result.ok for result in validate(impaired_dir, sample=53, workers=2))
     assert len(started) == 4  # the next call forked a fresh pool
@@ -1262,10 +1336,10 @@ def test_a_validate_that_raises_drops_the_kept_pool(impaired_dir, tmp_path, monk
 def test_validate_runs_on_the_pool_write_shards_kept(tmp_path, fresh_pool, started):
     write_shards(small_config("impaired-train", epc=1), tmp_path / "ds", workers=2)
     assert len(started) == 2
-    kept = dataset_module._kept_pool[1]
+    kept = pool_module._kept_pool[1]
     results = validate(tmp_path / "ds", sample=53, workers=2)
     assert len(started) == 2  # validate forked nothing
-    assert dataset_module._kept_pool[1] is kept
+    assert pool_module._kept_pool[1] is kept
     assert results == validate(tmp_path / "ds", sample=53)
     assert verdicts(results) == {"digest": True, "class-balance": True,
                                  "replay": True, "snr-calibration": True}

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import errno
+import hashlib
 import json
 import multiprocessing
 import os
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import child_pids
+from conftest import block_once, child_pids, kill_blocked
 from sigforge import dataset as dataset_module
 from sigforge import server as server_module
 from sigforge.dataset import (
@@ -29,11 +30,11 @@ from sigforge.dataset import (
     VARIANTS,
     DatasetConfig,
     bytes_to_frames,
-    fork_pool,
     frame_to_bytes,
     generate_example,
 )
 from sigforge.frame import FRAME_LEN
+from sigforge.pool import fork_pool
 from sigforge.registry import NUM_CLASSES
 from sigforge.rng import derive_stream
 from sigforge.server import (
@@ -54,6 +55,7 @@ from sigforge.server import (
     read_frame,
     request_batch,
 )
+from test_golden import BATCH_REQUEST, BATCH_SHA256
 
 
 def _start(srv):
@@ -196,6 +198,9 @@ def test_unknown_field_draws_an_error_and_keeps_the_connection(server):
     json.dumps({"batch_size": 5000}).encode(),
     json.dumps({"start_index": -1}).encode(),
     json.dumps({"frame_len": 32}).encode(),
+    # keys alias modulo 2**64: no range reaches index 2**63
+    json.dumps({"start_index": 53 * 2**64 + 3}).encode(),
+    json.dumps({"start_index": 2**63 - 1, "batch_size": 2}).encode(),
 ])
 def test_invalid_requests_draw_errors(server, request_blob):
     with socket.create_connection(("127.0.0.1", server.port)) as sock:
@@ -499,13 +504,12 @@ def test_server_close_leaves_no_pool_worker(monkeypatch):
 
 @pytest.mark.skipif(not Path("/proc/self/fd").exists(), reason="needs /proc")
 def test_a_batch_on_a_terminated_pool_leaves_no_descriptor():
-    # as a handler thread still serving after server_close() terminated the pool
+    # as a handler thread still serving after server_close() shut the pool down
     pool = fork_pool(2)
-    pool.terminate()
-    pool.join()
+    pool.shutdown()
     before = len(os.listdir("/proc/self/fd"))
     for _ in range(5):
-        with pytest.raises(ValueError, match="Pool not running"):
+        with pytest.raises(RuntimeError, match="cannot schedule new futures after shutdown"):
             build_batch({"batch_size": 16, "frame_len": MIN_FRAME_LEN}, ServerDefaults(), pool)
     assert len(os.listdir("/proc/self/fd")) == before
 
@@ -676,6 +680,31 @@ def test_sigterm_stops_serve_and_every_pool_worker():
     assert not [pid for pid in workers if Path(f"/proc/{pid}").exists()]
 
 
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2 or not Path("/proc/self/stat").exists(),
+                    reason="needs 2 usable CPUs and /proc")
+def test_a_killed_servers_workers_exit():
+    # each worker watches a pidfd of the server, whose death ends it
+    code = ("import os, sys\n"
+            "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])\n"
+            "from sigforge.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    with subprocess.Popen([sys.executable, "-c", code, "serve", "--port", "0"], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        try:
+            assert proc.stdout.readline().startswith("serving on")
+            workers = child_pids(proc.pid)
+            assert len(workers) == 2
+        finally:
+            proc.kill()
+            proc.wait()
+    deadline = time.monotonic() + 10
+    while [pid for pid in workers if Path(f"/proc/{pid}").exists()] and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not [pid for pid in workers if Path(f"/proc/{pid}").exists()]
+
+
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
 def test_a_large_batch_does_not_raise_the_servers_peak_memory():
     # its IQ goes from the batch's memory file to the socket by sendfile
@@ -751,6 +780,33 @@ def test_iq_that_never_reached_the_memory_file_draws_an_error_frame(monkeypatch)
         assert _error_then_close(srv.port, {"batch_size": 9}) == (
             f"internal error: OSError({errno.EIO}, "
             f"\"the IQ file holds 0 bytes, the range's IQ is {9 * FRAME_LEN * 8}\")")
+
+
+def test_a_worker_killed_mid_batch_draws_an_error_frame_and_a_fresh_pool(tmp_path, monkeypatch):
+    # the worker that takes the task of examples 16..23 dies in it; forked
+    # after the patch, so the workers block too
+    flag = tmp_path / "blocked"
+    monkeypatch.setattr(dataset_module, "generate_range", block_once(
+        flag, dataset_module.generate_range, lambda _config, first, _count: first == 16))
+    monkeypatch.setattr(server_module.os, "sched_getaffinity", lambda pid: {0, 1})
+    for srv in _start(BatchServer(("127.0.0.1", 0))):
+        lost = srv.pool
+        # a version whose pool waits for ever fails at the timeout, not the run
+        with socket.create_connection(("127.0.0.1", srv.port), timeout=30) as sock:
+            sock.sendall(pack_frame(MSG_REQUEST, json.dumps({"frame_len": 256}).encode()))
+            killed = kill_blocked(flag)
+            message_type, payload = read_frame(sock)
+            seconds = time.monotonic() - killed
+            assert sock.recv(1) == b""
+        assert message_type == MSG_ERROR and seconds < 5
+        assert json.loads(payload)["error"] == (
+            "internal error: WorkerLostError('a pool worker died before its tasks ended')")
+        fresh = srv.pool
+        assert fresh not in (None, lost)
+        srv.replace_pool(lost)  # as a second handler that saw the same loss
+        assert srv.pool is fresh
+        payload = _served_payload(srv.port, BATCH_REQUEST)
+        assert hashlib.sha256(payload).hexdigest() == BATCH_SHA256
 
 
 # The stale-task test's hooks. They are module-level, so that a pool task
